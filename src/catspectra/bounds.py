@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, cos, isnan, nan, pi, sqrt
+from math import atan2, cos, nan, pi, sqrt
 
 from .charpoly import IndexOutOfRange, Rational, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
@@ -36,9 +36,11 @@ class CubicSolution:
 
     On the trigonometric path, zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3)
     + (q1 + q2 - 2)/3.  Pairs with a zero leg skip the trigonometry (the
-    answer {q1+q2, 0, -1} is exact), q1 = q2 = 0 is the zero matrix (flagged
-    degenerate), and |r| < 1e-12 with both legs positive falls back to the
-    dense eigensolver; `method` records which path produced the roots.
+    answer {q1+q2, 0, -1} is exact) and q1 = q2 = 0 is the zero matrix (flagged
+    degenerate); `method` records which of the three paths produced the roots.
+    Both legs positive always takes the trigonometric path: there
+    -3r = q1^2 + q2^2 - q1 q2 + 2 q1 + 2 q2 + 1 >= 6, so r <= -2 and the
+    cubic has three distinct real roots.
     """
 
     q1: int
@@ -47,7 +49,7 @@ class CubicSolution:
     s: float
     theta: float
     zetas: tuple[float, float, float]
-    method: str     # "trig" | "zero_leg" | "both_zero" | "dense_fallback"
+    method: str     # "trig" | "zero_leg" | "both_zero"; positive legs give r <= -2, always "trig"
 
     @property
     def degenerate(self) -> bool:
@@ -78,13 +80,6 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
     c0 = float(q1 * (q2 - 1) + q2 * (q1 - 1))
     r = c1 - c2 * c2 / 3.0
     s = 2.0 * (c2 / 3.0) ** 3 - c2 * c1 / 3.0 + c0
-    if abs(r) < 1e-12:
-        from .charpoly import build_C
-        from .oracle import sym_eigs
-
-        vals = sym_eigs(build_C(validate_spec((q1, q2))).to_dense()).values
-        return CubicSolution(q1, q2, r, s, nan,
-                             (float(vals[2]), float(vals[1]), float(vals[0])), "dense_fallback")
     rad = -((r / 3.0) ** 3) - (s / 2.0) ** 2
     theta = atan2(sqrt(max(0.0, rad)), -s / 2.0)
     amp = 2.0 * sqrt(-r / 3.0)
@@ -127,6 +122,8 @@ def trace_inv_deleted(spec: CaterpillarSpec, i: int) -> Rational:
 
 @dataclass(frozen=True)
 class TraceBounds:
+    p_minus2: int           # p(q; -2), the exact values lb is derived from
+    pprime_minus2: int      # p'(q; -2)
     lb: Rational
     ub: Rational | None     # None when k = 1 (no deletable index)
     ub_index: int | None
@@ -139,10 +136,11 @@ def bounds_trace(spec: CaterpillarSpec) -> TraceBounds:
     denominator positive for every real spec; the guard is for safety), and
     NoValidIndex reports the degenerate case of no usable index at all.
     """
-    ti = trace_inv(spec)
+    p, pp = p_minus2(spec), pprime_minus2(spec)
+    ti = Fraction(-pp, p)   # trace_inv(spec), from the p and p' the result keeps
     lb = 1 / ti
     if spec.k < 2:
-        return TraceBounds(lb, None, None)
+        return TraceBounds(p, pp, lb, None, None)
     best = None
     best_i = None
     for i in range(1, spec.k):
@@ -154,7 +152,7 @@ def bounds_trace(spec: CaterpillarSpec) -> TraceBounds:
             best, best_i = val, i
     if best is None:
         raise NoValidIndex("all trace differences nonpositive")
-    return TraceBounds(lb, best, best_i)
+    return TraceBounds(p, pp, lb, best, best_i)
 
 
 @dataclass(frozen=True)
@@ -168,14 +166,18 @@ class BoundsReport:
     ub_cardano_index: int
     paper_valid: bool
     trace_inv: Rational
+    p_minus2: int
+    pprime_minus2: int
     warnings: tuple[str, ...]
 
 
 def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
     """All three bounds next to the oracle value, with sandwich violations flagged.
 
-    Violations are reported in `warnings`, never raised: the report is also
-    the vehicle for detecting them.
+    The report also carries the exact p(-2), p'(-2) and trace_inv that lb_trace
+    is derived from, so it is the single source of every number a bounds
+    record shows.  Violations are reported in `warnings`, never raised: the
+    report is also the vehicle for detecting them.
     """
     from .oracle import mu_oracle
 
@@ -206,6 +208,8 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
         ub_cardano=cb.value,
         ub_cardano_index=cb.j,
         paper_valid=cb.paper_valid,
-        trace_inv=trace_inv(spec),
+        trace_inv=1 / tb.lb,
+        p_minus2=tb.p_minus2,
+        pprime_minus2=tb.pprime_minus2,
         warnings=tuple(warnings),
     )

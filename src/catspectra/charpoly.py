@@ -323,20 +323,29 @@ def pprime_minus2(spec: CaterpillarSpec) -> int:
 # the Laplacian characteristic polynomial and spectrum
 # ---------------------------------------------------------------------------
 
+def shifted_pruned_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
+    """p(q; mu-2) / (mu-2)^b, whose roots are the eigenvalues of the pruned C plus 2.
+
+    The division is exact: each deleted zero row of C contributes one (mu-2)
+    factor.
+    """
+    b = derive_params(spec).b
+    poly = charpoly_p(spec).shift(-2)          # p(q; mu - 2)
+    for _ in range(b):
+        poly, rem = poly.divmod_linear(2)
+        if rem != 0:
+            raise InexactDivision(f"(mu-2)^{b} does not divide the shifted polynomial for {spec.q}")
+    return poly
+
+
 def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
     """Monic det(mu I - L(T)) assembled from the quotient polynomial.
 
     The nonzero Laplacian eigenvalues are the line-graph adjacency eigenvalues
-    plus 2, so det(mu I - L) = -mu (mu-1)^a [p(q; mu-2) / (mu-2)^b] with the
-    division exact (each deleted zero row of C contributes one (mu-2) factor).
+    plus 2, so det(mu I - L) = -mu (mu-1)^a [p(q; mu-2) / (mu-2)^b].
     """
     d = derive_params(spec)
-    poly = charpoly_p(spec).shift(-2)          # p(q; mu - 2)
-    for _ in range(d.b):
-        poly, rem = poly.divmod_linear(2)
-        if rem != 0:
-            raise InexactDivision(f"(mu-2)^{d.b} does not divide the shifted polynomial for {spec.q}")
-    out = IntPolynomial((0, -1)) * poly        # -mu * (...)
+    out = IntPolynomial((0, -1)) * shifted_pruned_charpoly(spec)     # -mu * (...)
     mu_minus_1 = IntPolynomial((-1, 1))
     for _ in range(d.a):
         out = out * mu_minus_1

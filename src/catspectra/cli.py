@@ -32,10 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (NoValidIndex, bounds_report, bounds_trace, cardano_roots,
-                     trace_inv, trace_inv_deleted, ub_cardano)
+from .bounds import (NoValidIndex, bounds_report, cardano_roots, trace_inv,
+                     trace_inv_deleted)
 from .charpoly import (build_C, charpoly_p, deleted_C, laplacian_charpoly,
-                       laplacian_spectrum, p_minus2, pprime_minus2, prune_zero)
+                       laplacian_spectrum, p_minus2, pprime_minus2,
+                       shifted_pruned_charpoly)
 from .graphs import (SpecTooSmall, build_caterpillar, h_join, line_graph,
                      linegraph_as_hjoin, matrices)
 from .model import CaterpillarSpec, derive_params, validate_spec
@@ -110,35 +111,26 @@ def charpoly_record(spec: CaterpillarSpec, of: str) -> dict:
 
 
 def bounds_record(spec: CaterpillarSpec) -> dict:
-    rep = None
-    warnings: list[str] = []
-    try:
-        rep = bounds_report(spec)
-        warnings.extend(rep.warnings)
-    except NoValidIndex:
-        warnings.append("no valid deletion index for the trace upper bound")
-    p_m2 = p_minus2(spec)
-    pp_m2 = pprime_minus2(spec)
-    rec = {
+    rep = bounds_report(spec)
+    return {
         "kind": "bounds",
         "q": list(spec.q),
-        "mu": rep.mu if rep else mu_oracle(spec),
+        "mu": rep.mu,
         "bounds": {
-            "lb": float(rep.lb_trace) if rep else float(1 / trace_inv(spec)),
-            "ub_trace": float(rep.ub_trace) if rep else None,
-            "ub_trace_index": rep.ub_trace_index if rep else None,
-            "ub_cardano": rep.ub_cardano if rep else None,
-            "ub_cardano_index": rep.ub_cardano_index if rep else None,
-            "paper_valid": rep.paper_valid if rep else None,
+            "lb": float(rep.lb_trace),
+            "ub_trace": float(rep.ub_trace),
+            "ub_trace_index": rep.ub_trace_index,
+            "ub_cardano": rep.ub_cardano,
+            "ub_cardano_index": rep.ub_cardano_index,
+            "paper_valid": rep.paper_valid,
         },
         "exact": {
-            "trace_inv": f"{-pp_m2}/{p_m2}",       # unreduced -p'/p, table style
-            "p_minus2": str(p_m2),
-            "pprime_minus2": str(pp_m2),
+            "trace_inv": f"{-rep.pprime_minus2}/{rep.p_minus2}",   # unreduced -p'/p, table style
+            "p_minus2": str(rep.p_minus2),
+            "pprime_minus2": str(rep.pprime_minus2),
         },
-        "warnings": list(warnings),
+        "warnings": list(rep.warnings),
     }
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +160,9 @@ def render_text(rec: dict) -> str:
         out.append(f"T{q}:")
         out.append(f"  mu         = {fmt4(rec['mu'])}")
         out.append(f"  lb_trace   = {fmt4(b['lb'])}  (exact {1 / ti})")
-        if b["ub_trace"] is not None:
-            out.append(f"  ub_trace   = {fmt4(b['ub_trace'])}  at i={b['ub_trace_index']}")
-        else:
-            out.append("  ub_trace   = (unavailable)")
-        if b["ub_cardano"] is not None:
-            validity = "holds" if b["paper_valid"] else "outside stated range (k >= 4, q1 != 0 != qk)"
-            out.append(f"  ub_cardano = {fmt4(b['ub_cardano'])}  at j={b['ub_cardano_index']}  [{validity}]")
+        out.append(f"  ub_trace   = {fmt4(b['ub_trace'])}  at i={b['ub_trace_index']}")
+        validity = "holds" if b["paper_valid"] else "outside stated range (k >= 4, q1 != 0 != qk)"
+        out.append(f"  ub_cardano = {fmt4(b['ub_cardano'])}  at j={b['ub_cardano_index']}  [{validity}]")
         out.append(f"  trace_inv  = {rec['exact']['trace_inv']} = {fmt4(float(ti))}")
     for w in rec["warnings"]:
         out.append(f"  warning: {w}")
@@ -193,8 +181,8 @@ def csv_row(rec: dict, flags: list[str]) -> str:
     cells = [
         q_label(rec["q"]),
         fmt4(rec["mu"]),
-        fmt4(b["ub_cardano"]) if b["ub_cardano"] is not None else "",
-        fmt4(b["ub_trace"]) if b["ub_trace"] is not None else "",
+        fmt4(b["ub_cardano"]),
+        fmt4(b["ub_trace"]),
         fmt4(b["lb"]),
         ",".join(flags),
     ]
@@ -236,7 +224,7 @@ def compare_reference(spec: CaterpillarSpec, rec: dict, tol: float = 1e-3):
     b = rec["bounds"]
 
     def check(name: str, got: float, want: float, is_hard: bool):
-        if got is None or abs(got - want) <= tol:
+        if abs(got - want) <= tol:
             return
         msg = f"{name}: published {fmt4(want)}, computed {fmt4(got)}"
         (hard if is_hard else notes).append(msg)
@@ -247,7 +235,7 @@ def compare_reference(spec: CaterpillarSpec, rec: dict, tol: float = 1e-3):
     if idx is None:
         check("ub_trace", b["ub_trace"], ref["ub_trace"], True)
     else:
-        term = float(1 / (trace_inv(spec) - trace_inv_deleted(spec, idx)))
+        term = float(1 / (Fraction(rec["exact"]["trace_inv"]) - trace_inv_deleted(spec, idx)))
         check(f"ub_trace(i={idx} term)", term, ref["ub_trace"], True)
         if abs(b["ub_trace"] - ref["ub_trace"]) > tol:
             notes.append(
@@ -375,13 +363,7 @@ def _ck_hjoin(spec, tol):
 
 
 def _ck_mu_vs_minroot(spec, tol):
-    d = derive_params(spec)
-    poly = charpoly_p(spec).shift(-2)
-    for _ in range(d.b):
-        poly, rem = poly.divmod_linear(2)
-        if rem != 0:
-            return "pruned polynomial division inexact"
-    root = min_root(poly, 1e-9, 2.0 + 1e-6)
+    root = min_root(shifted_pruned_charpoly(spec), 1e-9, 2.0 + 1e-6)
     if abs(root - mu_oracle(spec)) > max(tol, 1e-8):
         return f"min_root {root:.10g} vs oracle {mu_oracle(spec):.10g}"
     return None
@@ -505,7 +487,7 @@ def cmd_table(args) -> int:
         flags = list(rec["warnings"])
         flags += [f"divergence[{m}]" for m in soft]
         flags += [f"mismatch[{m}]" for m in hard]
-        if rec["bounds"]["paper_valid"] is False:
+        if not rec["bounds"]["paper_valid"]:
             flags.append("pair bound outside stated range")
         hard_failures.extend(f"line {lineno} T{q_label(spec.q)}: {m}" for m in hard)
         rec["flags"] = flags
@@ -540,27 +522,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catspectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json", "csv")):
+    def add_format(p, formats=("text", "json", "csv")):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for oracle comparisons")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("spectrum", help="Laplacian and line-graph spectra")
     p.add_argument("--q", required=True, help="comma-separated leg counts, e.g. 4,9,0,1")
-    common(p)
+    add_format(p)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
     p.add_argument("--q", required=True)
     p.add_argument("--of", choices=("C", "L"), default="C",
                    help="quotient matrix C or the tree Laplacian L")
-    common(p)
+    add_format(p)
     p.set_defaults(fn=cmd_charpoly)
 
     p = sub.add_parser("bounds", help="algebraic-connectivity bounds report")
     p.add_argument("--q", required=True)
-    common(p)
+    add_format(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -568,13 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=None, metavar="N")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--qmax", type=int, default=6)
-    common(p, formats=("text",))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="tolerance for oracle comparisons")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="batch bounds table from a spec file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    common(p, formats=("csv", "json"))
+    add_format(p, formats=("csv", "json"))
     p.set_defaults(fn=cmd_table)
 
     return parser
@@ -597,6 +578,9 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONV
+    except NoValidIndex as exc:
+        print(f"no valid deletion index for the trace upper bound: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def entry() -> None:

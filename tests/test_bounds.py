@@ -14,12 +14,12 @@ from catspectra.bounds import (
     trace_inv_deleted,
     ub_cardano,
 )
-from catspectra.charpoly import IndexOutOfRange, build_C
+from catspectra.charpoly import IndexOutOfRange, build_C, charpoly_p, p_minus2, pprime_minus2
 from catspectra.graphs import SpecTooSmall
 from catspectra.model import validate_spec
-from catspectra.oracle import mu_oracle, sym_eigs
+from catspectra.oracle import sym_eigs
 
-from conftest import nondegenerate_specs
+from conftest import nondegenerate_specs, specs
 
 
 # -- the pair (Cardano) bound -------------------------------------------------
@@ -55,6 +55,22 @@ def test_cardano_both_zero_is_degenerate():
     sol = cardano_roots(0, 0)
     assert sol.degenerate
     assert sol.zetas == (0.0, 0.0, 0.0)
+
+
+def test_cardano_positive_pairs_always_take_the_trig_path():
+    # -3r = c2^2 - 3 c1 for the monic cubic x^3 + c2 x^2 + c1 x + c0 of C(q1, q2),
+    # read off the exact characteristic polynomial; it is at least 6 for
+    # positive legs, so no positive pair needs anything but the trig formula
+    for q1 in range(1, 201):
+        for q2 in range(1, 201):
+            c = charpoly_p(validate_spec((q1, q2))).coeffs      # det(C - xI) = -(monic cubic)
+            c2, c1 = -c[2], -c[1]
+            minus_3r = c2 * c2 - 3 * c1
+            assert minus_3r == q1 * q1 + q2 * q2 - q1 * q2 + 2 * q1 + 2 * q2 + 1
+            assert minus_3r >= 6
+            assert cardano_roots(q1, q2).method == "trig"
+    for q1, q2 in ((10**9, 1), (1, 10**9), (10**6, 10**6)):
+        assert cardano_roots(q1, q2).method == "trig"
 
 
 def test_cardano_rejects_negative():
@@ -135,6 +151,16 @@ def test_bounds_trace_path(path_spec):
     assert tb.ub_index == 1
 
 
+@settings(max_examples=60)
+@given(specs(min_k=2, max_k=12, max_q=10**6))
+def test_trace_differences_are_positive(spec):
+    # interlacing makes every deletion index usable, so bounds_trace never
+    # reaches NoValidIndex on a real spec
+    ti = trace_inv(spec)
+    for i in range(1, spec.k):
+        assert ti - trace_inv_deleted(spec, i) > 0
+
+
 def test_bounds_trace_star_has_no_upper():
     tb = bounds_trace(validate_spec((5,)))
     assert tb.ub is None and tb.ub_index is None
@@ -154,6 +180,16 @@ def test_bounds_report_worked_example(worked_spec):
     assert rep.paper_valid
     assert rep.trace_inv == Fraction(191, 18)
     assert rep.warnings == ()
+
+
+@settings(max_examples=15)
+@given(nondegenerate_specs())
+def test_bounds_report_carries_the_exact_values_at_minus2(spec):
+    rep = bounds_report(spec)
+    assert rep.p_minus2 == p_minus2(spec)
+    assert rep.pprime_minus2 == pprime_minus2(spec)
+    assert rep.trace_inv == Fraction(-rep.pprime_minus2, rep.p_minus2)
+    assert rep.lb_trace == 1 / rep.trace_inv
 
 
 def test_bounds_report_is_tight_on_the_path(path_spec):
