@@ -4,9 +4,22 @@ The (2k-1) x (2k-1) symmetric quotient matrix C(q_1, ..., q_k) alternates leg
 slots (diagonal q_i^+ - 1, tied to the neighbouring spine-edge slots with
 weight sqrt(q_i)) and spine-edge slots (diagonal 0, consecutive ones tied with
 weight 1).  Its characteristic polynomial p(q_1, ..., q_k; lambda) =
-det(C - lambda I) is computed exactly over the integers by a suffix recursion,
-and the full Laplacian characteristic polynomial of the tree is assembled from
-it:  the line-graph adjacency spectrum is {-1 with multiplicity a} together
+det(C - lambda I) is computed exactly over the integers by a three-term prefix
+recurrence.  Let A_i = det(xI - C(q_1..q_i)) and let B_i be the same
+determinant with the spine-edge slot e_i of edge (i, i+1) appended.  Schwenk's
+vertex expansion ("Computing the characteristic polynomial of a graph", LNM
+406, 1974) at the last slot gives, with d_i = q_i^+ - 1, A_0 = 0 and B_0 = 1,
+
+    A_i = (x - d_i) B_{i-1} - q_i A_{i-1}
+    B_i = x A_i - q_i B_{i-1} - (x - d_i + 2 q_i) A_{i-1}
+
+where the 2 q_i term is the triangle (e_{i-1}, leg_i, e_i) of weight q_i, the
+only cycle through a spine-edge slot; C has odd order, so p = -A_k.  The value
+and derivative of p at -2 come from a separately derived scalar suffix
+recursion, which thereby cross-checks the polynomial.
+
+The full Laplacian characteristic polynomial of the tree is assembled from p:
+the line-graph adjacency spectrum is {-1 with multiplicity a} together
 with the spectrum of C after deleting its b all-zero rows, and the Laplacian
 spectrum is that shifted by +2, together with the eigenvalue 0.
 
@@ -208,72 +221,31 @@ def deleted_C(spec: CaterpillarSpec, i: int) -> StructuredC:
 
 
 # ---------------------------------------------------------------------------
-# det(C - lambda I) by the suffix recursion
+# det(C - lambda I) by the prefix recurrence
 # ---------------------------------------------------------------------------
 
-def _p_poly_suffixes(q: tuple[int, ...]) -> list[IntPolynomial]:
-    """P[j] = det(C(q_j, ..., q_k) - lambda I) for j = 1..k (1-based list, index 0 unused)."""
-    k = len(q)
-    qp = [0] + [max(1, x) for x in q]      # 1-based
-    qq = [0] + list(q)
-    P: list[IntPolynomial] = [IntPolynomial((0,))] * (k + 2)
-
-    def quad(a: int) -> IntPolynomial:
-        # lambda^2 - (q_a^+ - 1) lambda - q_a
-        return IntPolynomial((-qq[a], -(qp[a] - 1), 1))
-
-    def lin(a: int) -> IntPolynomial:
-        # q_a^+ - 1 - lambda
-        return IntPolynomial((qp[a] - 1, -1))
-
-    def mixed(a: int) -> IntPolynomial:
-        # q_a (2 + lambda) - (q_a^+ - 1 - lambda)
-        return IntPolynomial((2 * qq[a] - qp[a] + 1, qq[a] + 1))
-
-    for a in range(k, 0, -1):
-        length = k - a + 1
-        if length == 1:
-            P[a] = lin(a)
-        elif length == 2:
-            P[a] = quad(a) * lin(a + 1) - qq[a + 1] * lin(a)
-        elif length == 3:
-            P[a] = quad(a) * P[a + 1] + lin(a) * mixed(a + 1) * lin(a + 2) \
-                + (qq[a + 1] * qq[a + 2]) * lin(a)
-        else:
-            acc = quad(a) * P[a + 1]
-            la = lin(a)
-            prod = 1
-            sign = 1                       # (-1)^(t-a+1) starting at t = a+1
-            alive = True
-            for t in range(a + 1, k):
-                term = (sign * prod) * la * mixed(t) * P[t + 1]
-                acc = acc + term
-                prod *= qq[t]
-                if prod == 0:
-                    alive = False
-                    break
-                sign = -sign
-            if alive:
-                prod *= qq[k]
-                tail_sign = 1 if (k - a) % 2 == 0 else -1
-                acc = acc + (tail_sign * prod) * la
-            P[a] = acc
-    return P
-
-
 def charpoly_p(spec: CaterpillarSpec) -> IntPolynomial:
-    """Exact det(C - lambda I); degree 2k-1, leading coefficient -1."""
-    return _p_poly_suffixes(spec.q)[1]
+    """Exact det(C - lambda I); degree 2k-1, leading coefficient -1.
+
+    The prefix recurrence of the module docstring, with a = A_i and b = B_i.
+    """
+    a, b = IntPolynomial((0,)), POLY_ONE
+    for q in spec.q:
+        d = max(q - 1, 0)
+        a_prev = a
+        a = IntPolynomial((-d, 1)) * b - q * a_prev
+        b =POLY_X * a - q * b - IntPolynomial((2 * q - d, 1)) * a_prev
+    return -a
 
 
 def _p_scalar_suffixes(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """den[j] = p(q_j..q_k; -2) and num[j] = p'(q_j..q_k; -2) by the specialised
     sequential recursions (no polynomial objects involved, so this route is an
-    independent cross-check of the general recursion).
+    independent cross-check of the prefix recurrence in `charpoly_p`).
 
-    The alternating-sign pattern on the middle sum follows the evaluation of
-    the suffix recursion at lambda = -2, where the mixed factor collapses to
-    -(q_t^+ + 1).
+    The alternating-sign middle sum is a suffix expansion of
+    p(q_a..q_k; lambda) taken at lambda = -2, where each term's factor
+    q_t (2 + lambda) - (q_t^+ - 1 - lambda) collapses to -(q_t^+ + 1).
     """
     k = len(q)
     qp = [0] + [max(1, x) for x in q]
@@ -375,5 +347,5 @@ def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
     pruned = prune_zero(build_C(spec))
     vals = [0.0] + [1.0] * d.a
     if pruned.dim:
-        vals.extend(v + 2.0 for v in sym_eigs(pruned.to_dense()).values)
+        vals.extend(float(v) + 2.0 for v in sym_eigs(pruned.to_dense()).values)
     return as_multiset(vals)

@@ -12,7 +12,7 @@ Three kinds of oracle live here:
 * root isolation (`min_root`): square-free reduction, a float grid scan for
   the leftmost sign change, then exact rational bisection.
 
-None of this uses the suffix recursions under test, and nothing here calls
+None of this uses the recurrences under test, and nothing here calls
 numpy's eigensolver; numpy is array plumbing only.
 """
 

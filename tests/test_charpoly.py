@@ -1,9 +1,11 @@
 """Tests for the exact polynomial layer: IntPolynomial, the quotient matrix C,
-the suffix recursions and the assembled Laplacian characteristic polynomial."""
+the prefix recurrence for det(C - xI), the scalar suffix recursion for its
+value and derivative at -2, and the assembled Laplacian characteristic
+polynomial."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catspectra.charpoly import (
     IndexOutOfRange,
@@ -148,7 +150,7 @@ def test_deleted_c_bounds(worked_spec):
         deleted_C(worked_spec, 4)
 
 
-# -- the suffix recursions --------------------------------------------------
+# -- the prefix recurrence and the scalar suffix recursion ------------------
 
 def test_charpoly_p_worked_pair():
     p = charpoly_p(validate_spec((4, 9)))
@@ -177,7 +179,7 @@ def test_scalar_suffix_longer_example():
     assert pprime_minus2(spec) == -3059
 
 
-@given(specs())
+@given(specs(max_k=60, max_q=10**9))
 @settings(max_examples=40)
 def test_scalar_route_matches_polynomial_route(spec):
     p = charpoly_p(spec)
@@ -188,6 +190,7 @@ def test_scalar_route_matches_polynomial_route(spec):
 
 
 @given(specs())
+@example(validate_spec((3, 0, 10**9, 1, 6, 0, 0, 2, 5, 1, 4, 6, 0, 1, 10**9, 2, 3, 0, 5, 1)))
 @settings(max_examples=30)
 def test_charpoly_p_matches_integer_determinant(spec):
     p = charpoly_p(spec)
@@ -250,6 +253,10 @@ def test_laplacian_spectrum_path(path_spec):
     assert [m for _, m in ms] == [1, 1, 1, 1]
     for (got, _), w in zip(ms, want):
         assert abs(got - w) <= 1e-10
+
+
+def test_laplacian_spectrum_values_are_plain_floats(worked_spec):
+    assert all(type(v) is float for v, _ in laplacian_spectrum(worked_spec))
 
 
 @given(specs())
