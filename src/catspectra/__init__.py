@@ -6,37 +6,31 @@ spectra and characteristic polynomials exactly through the line-graph
 quotient matrix C(q_1, ..., q_k), certified lower and upper bounds on the
 algebraic connectivity, and cross-checks everything against brute-force
 oracles (dense Jacobi eigensolver, fraction-free integer determinants).
+
+The names below are the public API.  The oracles, the structural form of C
+and the graph builders stay importable from `oracle`, `charpoly` and
+`graphs`; the invariant suite is `catspectra.verify`.
 """
 
 from .bounds import (BoundsReport, CardanoBound, CubicSolution, NoValidIndex,
                      TraceBounds, bounds_report, bounds_trace, cardano_roots,
                      trace_inv, trace_inv_deleted, ub_cardano)
-from .charpoly import (IndexOutOfRange, InexactDivision, IntPolynomial,
-                       Rational, StructuredC, build_C, charpoly_p, deleted_C,
-                       laplacian_charpoly, laplacian_spectrum, p_minus2,
-                       pprime_minus2, prune_zero)
-from .graphs import (FamilySizeMismatch, Graph, NoEdges, SpecTooSmall,
-                     build_caterpillar, complete_graph, h_join, incidence,
-                     line_graph, linegraph_as_hjoin, matrices, slot_template)
+from .charpoly import (IndexOutOfRange, IntPolynomial, OrderTooLarge,
+                       charpoly_p, laplacian_charpoly, laplacian_spectrum,
+                       p_minus2, pprime_minus2)
+from .graphs import SpecTooSmall
 from .model import (CaterpillarSpec, DerivedParams, EmptySpec,
                     NegativeLegCount, derive_params, validate_spec)
-from .oracle import (EigenResult, NonConvergence, NoRootFound, deradicalize,
-                     exact_det, lap_charpoly_eval, min_root, mu_oracle,
-                     sym_eigs)
+from .oracle import NonConvergence
 
 __all__ = [
     "BoundsReport", "CardanoBound", "CaterpillarSpec", "CubicSolution",
-    "DerivedParams", "EigenResult", "EmptySpec", "FamilySizeMismatch",
-    "Graph", "IndexOutOfRange", "InexactDivision", "IntPolynomial",
-    "NegativeLegCount", "NoEdges", "NonConvergence", "NoRootFound",
-    "NoValidIndex", "Rational", "SpecTooSmall", "StructuredC", "TraceBounds",
-    "bounds_report", "bounds_trace", "build_C", "build_caterpillar",
-    "cardano_roots", "charpoly_p", "complete_graph", "deleted_C",
-    "deradicalize", "derive_params", "exact_det", "h_join", "incidence",
-    "lap_charpoly_eval", "laplacian_charpoly", "laplacian_spectrum",
-    "line_graph", "linegraph_as_hjoin", "matrices", "min_root", "mu_oracle",
-    "p_minus2", "pprime_minus2", "prune_zero", "slot_template", "sym_eigs",
-    "trace_inv", "trace_inv_deleted", "ub_cardano", "validate_spec",
+    "DerivedParams", "EmptySpec", "IndexOutOfRange", "IntPolynomial",
+    "NegativeLegCount", "NoValidIndex", "NonConvergence", "OrderTooLarge",
+    "SpecTooSmall", "TraceBounds", "bounds_report", "bounds_trace",
+    "cardano_roots", "charpoly_p", "derive_params", "laplacian_charpoly",
+    "laplacian_spectrum", "p_minus2", "pprime_minus2", "trace_inv",
+    "trace_inv_deleted", "ub_cardano", "validate_spec",
 ]
 
 __version__ = "0.1.0"

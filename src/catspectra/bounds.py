@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, cos, nan, pi, sqrt
+from math import atan2, cos, pi, sqrt
 
 from .charpoly import IndexOutOfRange, Rational, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
@@ -34,20 +34,16 @@ class NoValidIndex(RuntimeError):
 class CubicSolution:
     """Roots of the characteristic cubic of C(q1, q2).
 
-    On the trigonometric path, zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3)
-    + (q1 + q2 - 2)/3.  Pairs with a zero leg skip the trigonometry (the
-    answer {q1+q2, 0, -1} is exact) and q1 = q2 = 0 is the zero matrix (flagged
-    degenerate); `method` records which of the three paths produced the roots.
-    Both legs positive always takes the trigonometric path: there
+    On the trigonometric path, with t^3 + r t + s the depressed cubic,
+    zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3) + (q1 + q2 - 2)/3.  Pairs
+    with a zero leg skip the trigonometry (the answer {q1+q2, 0, -1} is exact)
+    and q1 = q2 = 0 is the zero matrix (flagged degenerate); `method` records
+    which of the three paths produced the roots.  Both legs positive always
+    takes the trigonometric path: there
     -3r = q1^2 + q2^2 - q1 q2 + 2 q1 + 2 q2 + 1 >= 6, so r <= -2 and the
     cubic has three distinct real roots.
     """
 
-    q1: int
-    q2: int
-    r: float
-    s: float
-    theta: float
     zetas: tuple[float, float, float]
     method: str     # "trig" | "zero_leg" | "both_zero"; positive legs give r <= -2, always "trig"
 
@@ -70,11 +66,11 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
     if q1 < 0 or q2 < 0:
         raise ValueError("leg counts must be nonnegative")
     if q1 == 0 and q2 == 0:
-        return CubicSolution(q1, q2, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), "both_zero")
+        return CubicSolution((0.0, 0.0, 0.0), "both_zero")
     if q1 == 0 or q2 == 0:
         # one block is empty: the dense matrix has a zero row, and the rest is
         # a 2x2 block with eigenvalues q1+q2 and -1
-        return CubicSolution(q1, q2, nan, nan, nan, (float(q1 + q2), 0.0, -1.0), "zero_leg")
+        return CubicSolution((float(q1 + q2), 0.0, -1.0), "zero_leg")
     c2 = float(2 - q1 - q2)
     c1 = float((q1 - 1) * (q2 - 1) - q1 - q2)
     c0 = float(q1 * (q2 - 1) + q2 * (q1 - 1))
@@ -85,7 +81,7 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
     amp = 2.0 * sqrt(-r / 3.0)
     base = (q1 + q2 - 2) / 3.0
     zetas = tuple(amp * cos((theta + 2.0 * pi * j) / 3.0) + base for j in range(3))
-    return CubicSolution(q1, q2, r, s, theta, zetas, "trig")
+    return CubicSolution(zetas, "trig")
 
 
 @dataclass(frozen=True)

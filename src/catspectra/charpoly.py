@@ -49,6 +49,14 @@ class IndexOutOfRange(IndexError):
     """Deletion index outside 1..k-1."""
 
 
+class OrderTooLarge(ValueError):
+    """The tree has more vertices than MAX_LAPLACIAN_ORDER."""
+
+
+# laplacian_charpoly's (mu - 1)^a product is O(n^2): 1.4 s at n = 2010 (2-vCPU Xeon VM)
+MAX_LAPLACIAN_ORDER = 2048
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials, ascending coefficient order
 # ---------------------------------------------------------------------------
@@ -234,7 +242,7 @@ def charpoly_p(spec: CaterpillarSpec) -> IntPolynomial:
         d = max(q - 1, 0)
         a_prev = a
         a = IntPolynomial((-d, 1)) * b - q * a_prev
-        b =POLY_X * a - q * b - IntPolynomial((2 * q - d, 1)) * a_prev
+        b = POLY_X * a - q * b - IntPolynomial((2 * q - d, 1)) * a_prev
     return -a
 
 
@@ -315,8 +323,12 @@ def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
 
     The nonzero Laplacian eigenvalues are the line-graph adjacency eigenvalues
     plus 2, so det(mu I - L) = -mu (mu-1)^a [p(q; mu-2) / (mu-2)^b].
+    Trees on more than MAX_LAPLACIAN_ORDER vertices raise OrderTooLarge.
     """
     d = derive_params(spec)
+    if d.n > MAX_LAPLACIAN_ORDER:
+        raise OrderTooLarge(f"the Laplacian characteristic polynomial has degree n = {d.n}, "
+                            f"above the cap of {MAX_LAPLACIAN_ORDER}")
     out = IntPolynomial((0, -1)) * shifted_pruned_charpoly(spec)     # -mu * (...)
     mu_minus_1 = IntPolynomial((-1, 1))
     for _ in range(d.a):
@@ -325,27 +337,27 @@ def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
     return out
 
 
-def as_multiset(values, tol: float = 1e-9) -> list[tuple[float, int]]:
-    """Group a sorted iterable of floats into (value, multiplicity) pairs."""
+def as_multiset(pairs, tol: float = 1e-9) -> list[tuple[float, int]]:
+    """Sort (value, multiplicity) pairs; merge values within tol of a group's first value."""
     out: list[list] = []
-    for v in sorted(values):
+    for v, m in sorted(pairs, key=lambda pair: pair[0]):
         if out and abs(v - out[-1][0]) <= tol:
-            out[-1][1] += 1
+            out[-1][1] += m
         else:
-            out.append([v, 1])
+            out.append([v, m])
     return [(v, m) for v, m in out]
 
 
 def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
     """Laplacian spectrum as (eigenvalue, multiplicity) pairs.
 
-    {0} union {1 with multiplicity a} union (spectrum of the pruned C, + 2).
+    {0} union {1 with multiplicity a, one pair} union (spectrum of the pruned C, + 2).
     """
     from .oracle import sym_eigs   # deferred: oracle imports this module's types
 
     d = derive_params(spec)
     pruned = prune_zero(build_C(spec))
-    vals = [0.0] + [1.0] * d.a
+    pairs = [(0.0, 1)] + ([(1.0, d.a)] if d.a else [])
     if pruned.dim:
-        vals.extend(float(v) + 2.0 for v in sym_eigs(pruned.to_dense()).values)
-    return as_multiset(vals)
+        pairs.extend((float(v) + 2.0, 1) for v in sym_eigs(pruned.to_dense()).values)
+    return as_multiset(pairs)

@@ -3,12 +3,14 @@
 A caterpillar T(q_1, ..., q_k) is the tree obtained from a path on k spine
 vertices by attaching q_i pendant legs to the i-th spine vertex.  Everything
 downstream (quotient matrices, polynomial recursions, bounds) is driven by the
-leg-count vector q and a handful of integers derived from it.
+leg-count vector q and a handful of integers derived from it, which the
+report formatters q_label and fmt4 below share with the CLI and `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
 
@@ -69,3 +71,13 @@ def derive_params(spec: CaterpillarSpec) -> DerivedParams:
     a = sum(x - d for x, d in zip(q, delta))
     b = k - sum(delta)
     return DerivedParams(delta=delta, qplus=qplus, n=n, a=a, b=b, dim_c=2 * k - 1)
+
+
+def q_label(q) -> str:
+    """The leg counts as the published tables print them, e.g. (4,9,0,1)."""
+    return "(" + ",".join(str(x) for x in q) + ")"
+
+
+def fmt4(x: float) -> str:
+    """4 decimal places, half-even, dot separator."""
+    return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))

@@ -27,10 +27,10 @@ from catspectra.charpoly import (
     p_minus2,
     pprime_minus2,
 )
-from catspectra.cli import random_specs
 from catspectra.graphs import build_caterpillar, incidence, line_graph, matrices
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
+from catspectra.verify import random_specs
 
 # the seed-fixed sample shared by criteria 4 and 5
 SAMPLE = random_specs(200, kmax=8, qmax=6, seed=7)

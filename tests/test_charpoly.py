@@ -3,13 +3,18 @@ the prefix recurrence for det(C - xI), the scalar suffix recursion for its
 value and derivative at -2, and the assembled Laplacian characteristic
 polynomial."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from catspectra import charpoly
 from catspectra.charpoly import (
+    MAX_LAPLACIAN_ORDER,
     IndexOutOfRange,
     IntPolynomial,
+    OrderTooLarge,
     POLY_ONE,
     POLY_X,
     _p_scalar_suffixes,
@@ -24,7 +29,7 @@ from catspectra.charpoly import (
     prune_zero,
 )
 from catspectra.model import derive_params, validate_spec
-from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval
+from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, sym_eigs
 from catspectra.graphs import build_caterpillar
 
 from conftest import eval_points, specs
@@ -235,8 +240,11 @@ def test_zero_leg_division_is_exact(spec):
 # -- spectra ----------------------------------------------------------------
 
 def test_as_multiset_groups_near_values():
-    ms = as_multiset([1.0, 1.0 + 1e-12, 0.0, 2.5], tol=1e-9)
+    ms = as_multiset([(1.0, 1), (1.0 + 1e-12, 1), (0.0, 1), (2.5, 1)], tol=1e-9)
     assert ms == [(0.0, 1), (1.0, 2), (2.5, 1)]
+    # multiplicities add up, and a group keeps its smallest value
+    ms = as_multiset([(1.0, 7), (1.0 - 1e-12, 1), (0.0, 1)], tol=1e-9)
+    assert ms == [(0.0, 1), (1.0 - 1e-12, 8)]
 
 
 def test_laplacian_spectrum_star():
@@ -257,6 +265,44 @@ def test_laplacian_spectrum_path(path_spec):
 
 def test_laplacian_spectrum_values_are_plain_floats(worked_spec):
     assert all(type(v) is float for v, _ in laplacian_spectrum(worked_spec))
+
+
+def test_laplacian_spectrum_merges_the_block_at_one():
+    # T(3,0): a = 2 ones from the legs, and the pruned C adds its eigenvalue -1 (+ 2 = 1)
+    assert laplacian_spectrum(validate_spec((3, 0))) == [(0.0, 1), (1.0, 3), (5.0, 1)]
+
+
+def test_laplacian_spectrum_memory_does_not_grow_with_legs():
+    spec = validate_spec((10**6, 1))
+    tracemalloc.start()
+    try:
+        ms = laplacian_spectrum(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (1.0, 10**6 - 1) in ms and sum(m for _, m in ms) == 10**6 + 3
+
+
+@given(specs())
+@settings(max_examples=20)
+def test_laplacian_spectrum_equals_the_expanded_grouping(spec):
+    # the block at 1 as one (1.0, a) pair groups exactly like a copies of 1.0
+    pruned = prune_zero(build_C(spec))
+    vals = [0.0] + [1.0] * derive_params(spec).a
+    if pruned.dim:
+        vals += [float(v) + 2.0 for v in sym_eigs(pruned.to_dense()).values]
+    assert laplacian_spectrum(spec) == as_multiset([(v, 1) for v in vals])
+
+
+def test_laplacian_charpoly_order_cap(monkeypatch, worked_spec):
+    with pytest.raises(OrderTooLarge, match="above the cap"):
+        laplacian_charpoly(validate_spec((10**9, 1, 0, 2)))
+    assert issubclass(OrderTooLarge, ValueError) and MAX_LAPLACIAN_ORDER >= 1000
+    monkeypatch.setattr(charpoly, "MAX_LAPLACIAN_ORDER", 18)     # worked_spec has n = 18
+    assert laplacian_charpoly(worked_spec).degree == 18
+    with pytest.raises(OrderTooLarge):
+        laplacian_charpoly(validate_spec((4, 9, 0, 2)))
 
 
 @given(specs())

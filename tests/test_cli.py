@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from catspectra import cli
+from catspectra import cli, verify
 from catspectra.bounds import NoValidIndex
 from catspectra.model import validate_spec
 from catspectra.oracle import NonConvergence
@@ -110,11 +110,11 @@ def test_json_roundtrip_is_lossless(worked_spec):
 
 def test_compare_reference_unknown_spec_is_silent():
     spec = validate_spec((1, 2, 3))
-    assert cli.compare_reference(spec, cli.bounds_record(spec)) == ([], [])
+    assert verify.compare_reference(spec, cli.bounds_record(spec)) == ([], [])
 
 
 def test_compare_reference_worked_example(worked_spec):
-    hard, notes = cli.compare_reference(worked_spec, cli.bounds_record(worked_spec))
+    hard, notes = verify.compare_reference(worked_spec, cli.bounds_record(worked_spec))
     assert hard == []
     # two expected divergence notes: the published ub_trace is the i=2 term
     # (the minimum is smaller, at i=1), and the published pair bound does not
@@ -125,11 +125,11 @@ def test_compare_reference_worked_example(worked_spec):
 
 
 def test_random_specs_deterministic():
-    a = cli.random_specs(20, 8, 6, seed=7)
-    b = cli.random_specs(20, 8, 6, seed=7)
+    a = verify.random_specs(20, 8, 6, seed=7)
+    b = verify.random_specs(20, 8, 6, seed=7)
     assert a == b
     assert all(1 <= s.k <= 8 and max(s.q) <= 6 for s in a)
-    assert cli.random_specs(20, 8, 6, seed=8) != a
+    assert verify.random_specs(20, 8, 6, seed=8) != a
 
 
 # -- commands and exit codes -----------------------------------------------------
@@ -144,6 +144,15 @@ def test_cmd_spectrum_text(capsys):
 def test_cmd_charpoly_text(capsys):
     assert cli.main(["charpoly", "--q", "4,9", "--of", "C"]) == 0
     assert "[-59, -11, 11, -1]" in capsys.readouterr().out
+
+
+def test_cmd_charpoly_refuses_the_laplacian_of_a_huge_tree(capsys):
+    # n = 10^9 + 7: the (mu - 1) product would never finish
+    assert cli.main(["charpoly", "--q", "1000000000,1,0,2", "--of", "L"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert cli.main(["charpoly", "--q", "1000000000,1,0,2", "--of", "C"]) == 0
 
 
 def test_cmd_bounds_json(capsys):
