@@ -15,12 +15,13 @@ and the graph builders stay importable from `oracle`, `charpoly` and
 from .bounds import (BoundsReport, CardanoBound, CubicSolution, NoValidIndex,
                      TraceBounds, bounds_report, bounds_trace, cardano_roots,
                      trace_inv, trace_inv_deleted, ub_cardano)
-from .charpoly import (IndexOutOfRange, IntPolynomial, OrderTooLarge,
-                       charpoly_p, laplacian_charpoly, laplacian_spectrum,
-                       p_minus2, pprime_minus2)
+from .charpoly import (IndexOutOfRange, IntPolynomial, charpoly_p,
+                       laplacian_charpoly, laplacian_spectrum, p_minus2,
+                       pprime_minus2)
 from .graphs import SpecTooSmall
 from .model import (CaterpillarSpec, DerivedParams, EmptySpec,
-                    NegativeLegCount, derive_params, validate_spec)
+                    NegativeLegCount, OrderTooLarge, derive_params,
+                    validate_spec)
 from .oracle import NonConvergence
 
 __all__ = [

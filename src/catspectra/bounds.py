@@ -12,7 +12,9 @@ smallest eigenvalue plus 2 is the algebraic connectivity mu:
   deleting the 2i-th row and column.
 
 The trace quantities never touch floating point; only the final report
-renders reals.
+renders reals.  The report checks both trace bounds against mu exactly, by
+counting the Laplacian eigenvalues of the tree below each bound
+(`oracle.laplacian_count`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from math import atan2, cos, pi, sqrt
 from .charpoly import IndexOutOfRange, Rational, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
 from .model import CaterpillarSpec, derive_params, validate_spec
+from .oracle import bisect_doubles, laplacian_count, mu_oracle
 
 
 class NoValidIndex(RuntimeError):
@@ -35,7 +38,9 @@ class CubicSolution:
     """Roots of the characteristic cubic of C(q1, q2).
 
     On the trigonometric path, with t^3 + r t + s the depressed cubic,
-    zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3) + (q1 + q2 - 2)/3.  Pairs
+    zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3) + (q1 + q2 - 2)/3, kept
+    where an exact sign test of the integer cubic confirms it within
+    CUBIC_ROOT_TOL and bisected exactly where it does not.  Pairs
     with a zero leg skip the trigonometry (the answer {q1+q2, 0, -1} is exact)
     and q1 = q2 = 0 is the zero matrix (flagged degenerate); `method` records
     which of the three paths produced the roots.  Both legs positive always
@@ -71,9 +76,8 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
         # one block is empty: the dense matrix has a zero row, and the rest is
         # a 2x2 block with eigenvalues q1+q2 and -1
         return CubicSolution((float(q1 + q2), 0.0, -1.0), "zero_leg")
-    c2 = float(2 - q1 - q2)
-    c1 = float((q1 - 1) * (q2 - 1) - q1 - q2)
-    c0 = float(q1 * (q2 - 1) + q2 * (q1 - 1))
+    coeffs = (2 - q1 - q2, (q1 - 1) * (q2 - 1) - q1 - q2, q1 * (q2 - 1) + q2 * (q1 - 1))
+    c2, c1, c0 = (float(c) for c in coeffs)
     r = c1 - c2 * c2 / 3.0
     s = 2.0 * (c2 / 3.0) ** 3 - c2 * c1 / 3.0 + c0
     rad = -((r / 3.0) ** 3) - (s / 2.0) ** 2
@@ -81,7 +85,46 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
     amp = 2.0 * sqrt(-r / 3.0)
     base = (q1 + q2 - 2) / 3.0
     zetas = tuple(amp * cos((theta + 2.0 * pi * j) / 3.0) + base for j in range(3))
-    return CubicSolution(zetas, "trig")
+    return CubicSolution(_certify_roots(coeffs, zetas), "trig")
+
+
+# a trigonometric root is kept when an exact sign test puts a root of the
+# cubic within this distance, relative to max(1, |root|)
+CUBIC_ROOT_TOL = 1e-12
+
+
+def _cubic_sign(c: tuple[int, int, int], x: float) -> int:
+    """Exact sign of x^3 + c2 x^2 + c1 x + c0 at the double x."""
+    n, d = x.as_integer_ratio()
+    c2, c1, c0 = c
+    v = ((n + c2 * d) * n + c1 * d * d) * n + c0 * d ** 3
+    return (v > 0) - (v < 0)
+
+
+def _certify_roots(c: tuple[int, int, int], zetas) -> tuple[float, float, float]:
+    """The three roots of the integer cubic x^3 + c2 x^2 + c1 x + c0, each within
+    CUBIC_ROOT_TOL of the exact one.
+
+    The trigonometric form cancels terms of size q1 + q2, so its small roots
+    lose digits as the legs grow (4.7e-8 off at q = (10^5, 1)).  A root that
+    fails the exact sign test is bisected, with exact signs, to adjacent
+    doubles inside its isolating interval: below, between or above the two
+    critical points, within the Cauchy bound.
+    """
+    c2, c1, c0 = c
+    half = sqrt(c2 * c2 - 3 * c1)
+    bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
+    edges = (-bound, (-c2 - half) / 3.0, (-c2 + half) / 3.0, bound)
+    out = list(zetas)
+    for rank, j in enumerate(sorted(range(3), key=lambda j: zetas[j])):
+        z = zetas[j]
+        d = CUBIC_ROOT_TOL * max(1.0, abs(z))
+        if _cubic_sign(c, z - d) * _cubic_sign(c, z + d) <= 0:
+            continue
+        lo, hi = edges[rank], edges[rank + 1]
+        s_lo = _cubic_sign(c, lo)
+        out[j] = bisect_doubles(lambda x: _cubic_sign(c, x) != s_lo, lo, hi)[1]
+    return (out[0], out[1], out[2])
 
 
 @dataclass(frozen=True)
@@ -168,15 +211,18 @@ class BoundsReport:
 
 
 def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
-    """All three bounds next to the oracle value, with sandwich violations flagged.
+    """All three bounds next to mu, with sandwich violations flagged.
 
-    The report also carries the exact p(-2), p'(-2) and trace_inv that lb_trace
-    is derived from, so it is the single source of every number a bounds
-    record shows.  Violations are reported in `warnings`, never raised: the
-    report is also the vehicle for detecting them.
+    mu is `oracle.mu_oracle`, located by exact eigenvalue counting on the
+    tree.  The trace bounds are certified with no tolerance: lb_trace <= mu
+    iff fewer than two eigenvalues lie below lb_trace, and mu <= ub_trace iff
+    at least two lie at or below ub_trace.  The pair bound and the range of
+    mu are checked in floats with 1e-8 slack.  The report also carries the
+    exact p(-2), p'(-2) and trace_inv that lb_trace is derived from, so it
+    is the single source of every number a bounds record shows.  Violations
+    are reported in `warnings`, never raised: the report is also the vehicle
+    for detecting them.
     """
-    from .oracle import mu_oracle
-
     if spec.k < 2:
         raise SpecTooSmall("bounds reports need k >= 2")
     mu = mu_oracle(spec)
@@ -185,9 +231,9 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
     n = derive_params(spec).n
     slack = 1e-8
     warnings = []
-    if not float(tb.lb) <= mu + slack:
+    if laplacian_count(spec, tb.lb)[0] > 1:
         warnings.append(f"lower bound {float(tb.lb):.6g} exceeds mu {mu:.6g}")
-    if not mu <= float(tb.ub) + slack:
+    if sum(laplacian_count(spec, tb.ub)) < 2:
         warnings.append(f"mu {mu:.6g} exceeds trace upper bound {float(tb.ub):.6g}")
     if not mu <= cb.value + slack:
         warnings.append(f"mu {mu:.6g} exceeds pair upper bound {cb.value:.6g}")

@@ -32,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import CaterpillarSpec, OrderTooLarge, derive_params, validate_spec
 
-from .model import CaterpillarSpec, derive_params, validate_spec
+if TYPE_CHECKING:
+    import numpy as np
 
 # exact rational values (inverse traces and the like) are plain Fractions
 Rational = Fraction
@@ -47,10 +49,6 @@ class InexactDivision(ArithmeticError):
 
 class IndexOutOfRange(IndexError):
     """Deletion index outside 1..k-1."""
-
-
-class OrderTooLarge(ValueError):
-    """The tree has more vertices than MAX_LAPLACIAN_ORDER."""
 
 
 # laplacian_charpoly's (mu - 1)^a product is O(n^2): 1.4 s at n = 2010 (2-vCPU Xeon VM)
@@ -164,6 +162,8 @@ class StructuredC:
     slot_q: tuple[int | None, ...]
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((self.dim, self.dim))
         for i, d in enumerate(self.diag):
             m[i, i] = d

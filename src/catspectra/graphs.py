@@ -14,10 +14,16 @@ keeps matrix regression tests deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import CaterpillarSpec, OrderTooLarge
 
-from .model import CaterpillarSpec
+if TYPE_CHECKING:
+    import numpy as np
+
+# Largest order of a dense matrix built here or solved by `oracle.sym_eigs`,
+# whose cyclic Jacobi sweeps cost O(n^3) in Python-level rotations.
+MAX_DENSE_ORDER = 256
 
 
 class NoEdges(ValueError):
@@ -72,7 +78,15 @@ def build_caterpillar(spec: CaterpillarSpec) -> Graph:
 
 
 def matrices(g: Graph) -> dict[str, np.ndarray]:
-    """Adjacency A, degree D, Laplacian L = D - A and signless Laplacian Q = D + A."""
+    """Adjacency A, degree D, Laplacian L = D - A and signless Laplacian Q = D + A.
+
+    Graphs on more than MAX_DENSE_ORDER vertices raise OrderTooLarge.
+    """
+    import numpy as np
+
+    if g.n > MAX_DENSE_ORDER:
+        raise OrderTooLarge(f"the dense matrices have order {g.n}, "
+                            f"above the cap of {MAX_DENSE_ORDER}")
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u - 1, v - 1] = a[v - 1, u - 1] = 1.0
@@ -82,6 +96,8 @@ def matrices(g: Graph) -> dict[str, np.ndarray]:
 
 def incidence(g: Graph) -> np.ndarray:
     """Vertex-edge incidence matrix, columns in the sorted edge order."""
+    import numpy as np
+
     inc = np.zeros((g.n, g.m))
     for j, (u, v) in enumerate(g.edges):
         inc[u - 1, j] = inc[v - 1, j] = 1.0

@@ -22,6 +22,10 @@ class EmptySpec(ValueError):
     """The leg-count vector is empty."""
 
 
+class OrderTooLarge(ValueError):
+    """A dense matrix or a polynomial would exceed the order cap of its route."""
+
+
 @dataclass(frozen=True)
 class CaterpillarSpec:
     """Validated leg-count vector.

@@ -1,9 +1,13 @@
-"""Brute-force ground truth, independent of the quotient-matrix formulas.
+"""Ground truth independent of the quotient-matrix formulas.
 
-Three kinds of oracle live here:
+Four kinds of oracle live here:
 
+* exact Laplacian eigenvalue counting on the tree (`laplacian_count`), by
+  Jacobs and Trevisan's tree diagonalization in its Laplacian form (Braga,
+  Rodrigues and Trevisan, Discrete Math. 313, 2013), and the algebraic
+  connectivity `mu_oracle` located by bisecting that count;
 * a dense symmetric eigensolver (`sym_eigs`), row-cyclic Jacobi with
-  vectorized row and column updates;
+  vectorized row and column updates, the cross-check of the count;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
@@ -13,7 +17,8 @@ Three kinds of oracle live here:
   the leftmost sign change, then exact rational bisection.
 
 None of this uses the recurrences under test, and nothing here calls
-numpy's eigensolver; numpy is array plumbing only.
+numpy's eigensolver; numpy is array plumbing only, imported by the dense
+functions that need it, so the count and `mu_oracle` run without it.
 """
 
 from __future__ import annotations
@@ -22,12 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .charpoly import IntPolynomial, StructuredC
-from .graphs import Graph, build_caterpillar, matrices
-from .model import CaterpillarSpec
+from .graphs import MAX_DENSE_ORDER, Graph
+from .model import CaterpillarSpec, OrderTooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# mu_oracle keeps the values of this many specs; a batch run reuses only recent ones
+MU_CACHE_SIZE = 256
 
 
 class NonConvergence(RuntimeError):
@@ -47,6 +57,8 @@ class EigenResult:
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
+    import numpy as np
+
     # computed entrywise, not as ||A||^2 - ||diag||^2, which cancels catastrophically
     b = a.copy()
     np.fill_diagonal(b, 0.0)
@@ -60,11 +72,18 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     pi/4), which is the provably convergent combination; row and column
     updates are vectorized.  Convergence: off-diagonal Frobenius norm below
     1e-12 * ||M||_F, cap max_sweeps full sweeps (NonConvergence beyond it).
+    Matrices of order above MAX_DENSE_ORDER raise OrderTooLarge before any
+    work: a sweep costs O(n^3), so the solve would run for minutes to hours.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("matrix is not square")
+    if n > MAX_DENSE_ORDER:
+        raise OrderTooLarge(f"the dense eigensolve has order {n}, "
+                            f"above the cap of {MAX_DENSE_ORDER}")
     if n == 0:
         return EigenResult(np.zeros(0), np.zeros((0, 0)), 0, 0.0)
     if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
@@ -112,13 +131,90 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     return EigenResult(vals, vecs, sweeps, residual)
 
 
-@lru_cache(maxsize=None)
+def _inertia(spec: CaterpillarSpec, x) -> tuple[int, int]:
+    """(negative, zero) diagonal values of L - xI after tree diagonalization.
+
+    Spine vertex 1 is processed first and k last, each leg before its spine
+    vertex.  A leaf gets 1 - x; spine vertex i gets deg_i - x - q_i/(1-x) -
+    1/a_{i-1}, the last term only while the edge to spine vertex i-1 is
+    kept.  A vertex with a zero child turns one such child to 2 and itself
+    to -1/2 and cuts the edge to its parent; any other zero children stay 0.
+    Generic over the number type of x: Fractions give the exact inertia,
+    floats a fast estimate.
+    """
+    leaf = 1 - x
+    below = at = 0
+    child = None        # a_{i-1} while spine vertex i-1 is still a child of i
+    for i, q in enumerate(spec.q):
+        if leaf < 0:
+            below += q
+        zeros = q if leaf == 0 else 0
+        if child is not None:
+            zeros += child == 0
+            below += child < 0
+        if zeros:
+            below += 1              # this vertex becomes -1/2, one zero child 2
+            at += zeros - 1
+            child = None
+            continue
+        a = q + (i > 0) + (i < spec.k - 1) - x
+        if q:
+            a -= q / leaf
+        if child is not None:
+            a -= 1 / child
+        child = a
+    if child is not None:
+        below += child < 0
+        at += child == 0
+    return below, at
+
+
+def laplacian_count(spec: CaterpillarSpec, x) -> tuple[int, int]:
+    """(#{eigenvalues of L(T) < x}, multiplicity of x), exact for rational x.
+
+    O(k) Fraction steps whatever sum(q) is; never builds a matrix or C.
+    """
+    return _inertia(spec, Fraction(x))
+
+
+def bisect_doubles(above, lo: float, hi: float) -> tuple[float, float]:
+    """Narrow lo < hi to adjacent doubles, keeping above(hi) true and above(lo) false."""
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@lru_cache(maxsize=MU_CACHE_SIZE)
 def mu_oracle(spec: CaterpillarSpec) -> float:
-    """Algebraic connectivity straight from the dense Laplacian of the tree."""
-    g = build_caterpillar(spec)
-    if g.n < 2:
+    """Algebraic connectivity of the tree, correctly rounded to a double.
+
+    The float count brackets mu between adjacent doubles.  Within a few ulps
+    of mu it can misjudge, so each end of the bracket is confirmed with the
+    exact count at its dyadic value, the bracket widened where that fails and
+    bisected again with the exact count.  One more exact count at the
+    bracket's midpoint picks the nearer double.
+    """
+    if spec.k + sum(spec.q) < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
-    return float(sym_eigs(matrices(g)["L"]).values[1])
+
+    def past_mu(x) -> bool:     # mu <= x iff the eigenvalues 0 and mu are both <= x
+        return sum(laplacian_count(spec, x)) >= 2
+
+    hi = 1.0
+    while not past_mu(hi):
+        hi *= 2.0
+    lo, hi = bisect_doubles(lambda x: sum(_inertia(spec, x)) >= 2, 0.0, hi)
+    step = hi - lo
+    while past_mu(lo):
+        lo, step = max(0.0, lo - step), 2.0 * step
+    step = hi - lo
+    while not past_mu(hi):
+        hi, step = hi + step, 2.0 * step
+    lo, hi = bisect_doubles(past_mu, lo, hi)
+    return lo if past_mu((Fraction(lo) + Fraction(hi)) / 2) else hi
 
 
 def deradicalize(c: StructuredC) -> list[list[int]]:
@@ -274,8 +370,11 @@ def min_root(p: IntPolynomial, lo: float, hi: float) -> float:
     change, signs confirmed exactly over the rationals, then exact bisection.
     Repeated roots are fine (the square-free part changes sign at them).
     """
+    import numpy as np
+
     if hi <= lo:
         raise ValueError("empty interval")
+
     sf = _square_free(p)
     if sf.is_zero():
         raise NoRootFound("zero polynomial")

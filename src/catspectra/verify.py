@@ -121,6 +121,10 @@ def _ck_spectrum_shift(spec, tol):
     dense = _eig(graphs.matrices(graphs.build_caterpillar(spec))["L"])
     if len(vals) != len(dense) or not np.allclose(vals, dense, atol=tol):
         return "assembled Laplacian spectrum disagrees with the dense eigensolve"
+    if spec.k >= 2:     # mu from the exact count against Jacobi
+        mu = oracle.mu_oracle(spec)
+        if abs(mu - dense[1]) > tol:
+            return f"mu_oracle {mu:.10g} vs dense {dense[1]:.10g}"
     return None
 
 

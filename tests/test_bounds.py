@@ -1,12 +1,15 @@
 """Tests for the three algebraic-connectivity bounds and the combined report."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from catspectra import bounds
 from catspectra.bounds import (
+    CUBIC_ROOT_TOL,
     bounds_report,
     bounds_trace,
     cardano_roots,
@@ -17,7 +20,7 @@ from catspectra.bounds import (
 from catspectra.charpoly import IndexOutOfRange, build_C, charpoly_p, p_minus2, pprime_minus2
 from catspectra.graphs import SpecTooSmall
 from catspectra.model import validate_spec
-from catspectra.oracle import sym_eigs
+from catspectra.oracle import mu_oracle, sym_eigs
 
 from conftest import nondegenerate_specs, specs
 
@@ -71,6 +74,21 @@ def test_cardano_positive_pairs_always_take_the_trig_path():
             assert cardano_roots(q1, q2).method == "trig"
     for q1, q2 in ((10**9, 1), (1, 10**9), (10**6, 10**6)):
         assert cardano_roots(q1, q2).method == "trig"
+
+
+@pytest.mark.parametrize("q1,q2", [(10**5, 1), (10**6, 10**6), (10**6, 3), (10**8, 1),
+                                   (10**9, 10**9), (1000, 1), (4, 9)])
+def test_cardano_roots_stay_accurate_for_large_legs(q1, q2):
+    # the trigonometric form alone put lam3 + 2 of (10^5, 1) 4.7e-8 and of
+    # (10^8, 1) 0.084 above mu, which equals lam3 + 2 when k = 2
+    spec = validate_spec((q1, q2))
+    p = charpoly_p(spec)
+    sol = cardano_roots(q1, q2)
+    assert sol.method == "trig"
+    for z in sol.zetas:
+        d = Fraction(CUBIC_ROOT_TOL * max(1.0, abs(z)))
+        assert p(Fraction(z) - d) * p(Fraction(z) + d) <= 0, z
+    assert abs(sol.lam3 + 2.0 - mu_oracle(spec)) <= 2 * CUBIC_ROOT_TOL
 
 
 def test_cardano_rejects_negative():
@@ -211,3 +229,23 @@ def test_bounds_sandwich_random(spec):
     assert float(rep.lb_trace) <= rep.mu + 1e-8
     assert rep.mu <= float(rep.ub_trace) + 1e-8
     assert rep.mu <= rep.ub_cardano + 1e-8
+
+
+@pytest.mark.parametrize("side", ["lb", "ub"])
+def test_exact_sandwich_flags_a_bound_1e9_past_mu(monkeypatch, worked_spec, side):
+    # 1e-9 is inside the 1e-8 slack of a float comparison, so only the exact
+    # eigenvalue count sees these violations
+    mu, tb = Fraction(mu_oracle(worked_spec)), bounds.bounds_trace(worked_spec)
+    eps = Fraction(1, 10**9)
+    moved = replace(tb, lb=mu + eps) if side == "lb" else replace(tb, ub=mu - eps)
+    monkeypatch.setattr(bounds, "bounds_trace", lambda spec: moved)
+    warnings = bounds_report(worked_spec).warnings
+    want = "lower bound" if side == "lb" else "exceeds trace upper bound"
+    assert len(warnings) == 1 and want in warnings[0]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**9)), min_size=2, max_size=30))
+def test_bounds_report_is_clean_on_extreme_legs(q):
+    # legs up to 10^9 and runs of zeros: every bound holds, the trace bounds exactly
+    assert bounds_report(validate_spec(q)).warnings == ()

@@ -2,6 +2,7 @@
 comparison and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,17 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "spectrum_record", boom)
     assert cli.main(["spectrum", "--q", "1,1"]) == 3
     assert "non-convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["100000,1", "1000000,1000000,3"])
+def test_bounds_on_huge_trees_answers_without_warnings(capsys, q):
+    # n = 100003 and 2000006: the dense Laplacian would need 80 GB and 32 TB
+    t0 = time.perf_counter()
+    assert cli.main(["bounds", "--q", q, "--format", "json"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["warnings"] == []
+    assert rec["bounds"]["lb"] <= rec["mu"] <= rec["bounds"]["ub_trace"]
 
 
 def test_cmd_verify_single_spec(capsys):

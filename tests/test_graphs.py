@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from catspectra.graphs import (
+    MAX_DENSE_ORDER,
     FamilySizeMismatch,
+    Graph,
     NoEdges,
     SpecTooSmall,
     build_caterpillar,
@@ -17,7 +19,7 @@ from catspectra.graphs import (
     matrices,
     slot_template,
 )
-from catspectra.model import validate_spec
+from catspectra.model import OrderTooLarge, validate_spec
 
 from conftest import specs
 
@@ -58,6 +60,13 @@ def test_matrices_path():
     assert np.array_equal(mats["D"], np.diag([2.0, 2.0, 1.0, 1.0]))
     assert np.array_equal(mats["L"], mats["D"] - mats["A"])
     assert np.array_equal(mats["Q"], mats["D"] + mats["A"])
+
+
+def test_matrices_refuse_orders_above_the_cap():
+    assert MAX_DENSE_ORDER >= 110
+    assert matrices(Graph(n=MAX_DENSE_ORDER, edges=()))["L"].shape == (MAX_DENSE_ORDER,) * 2
+    with pytest.raises(OrderTooLarge, match="above the cap"):
+        matrices(Graph(n=MAX_DENSE_ORDER + 1, edges=()))
 
 
 @given(specs())

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package or the scripts imports a name it
-never uses, the invariant suite does not import the CLI, and the public API
-(`catspectra.__all__`) resolves and covers the README's library example.
+never uses, the invariant suite does not import the CLI, the public API
+(`catspectra.__all__`) resolves and covers the README's library example, and
+the package, `bounds` and `charpoly` run without loading numpy.
 
 Stdlib only (ast), since neither pyflakes nor ruff is a dependency.  The
 package `__init__` is exempt from the unused-import check: its imports are
@@ -9,6 +10,8 @@ re-exports.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import catspectra
@@ -71,3 +74,17 @@ def test_verify_does_not_import_the_cli():
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
     assert not {"cli", "catspectra.cli"} & imported
+
+
+def test_bounds_and_charpoly_never_load_numpy():
+    # numpy is only array plumbing for the dense oracles (spectrum, verify)
+    code = (
+        "import sys, catspectra\n"
+        "from catspectra import cli\n"
+        "assert cli.main(['bounds', '--q', '4,9,0,1', '--format', 'json']) == 0\n"
+        "assert cli.main(['charpoly', '--q', '4,9,0,1', '--of', 'L']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

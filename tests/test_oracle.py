@@ -1,19 +1,25 @@
-"""Tests for the oracle layer: the Jacobi eigensolver, exact integer linear
-algebra, the tree determinant and rational root isolation."""
+"""Tests for the oracle layer: the Jacobi eigensolver, the exact eigenvalue
+count on the tree and the mu it locates, exact integer linear algebra, the
+tree determinant and rational root isolation."""
+
+from fractions import Fraction
+from math import inf, nextafter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from catspectra import oracle, verify
 from catspectra.charpoly import IntPolynomial, build_C, charpoly_p
-from catspectra.graphs import Graph, build_caterpillar, matrices
-from catspectra.model import validate_spec
+from catspectra.graphs import MAX_DENSE_ORDER, Graph, build_caterpillar, matrices
+from catspectra.model import OrderTooLarge, validate_spec
 from catspectra.oracle import (
     NoRootFound,
     _square_free,
     deradicalize,
     exact_det,
     lap_charpoly_eval,
+    laplacian_count,
     min_root,
     mu_oracle,
     sym_eigs,
@@ -75,6 +81,12 @@ def test_sym_eigs_invariants(m):
     assert np.allclose(recon, m, atol=1e-9 * (1.0 + np.abs(m).max()))
 
 
+def test_sym_eigs_refuses_orders_above_the_cap():
+    assert MAX_DENSE_ORDER >= 110           # the desk-scale test below solves n = 110
+    with pytest.raises(OrderTooLarge, match="above the cap"):
+        sym_eigs(np.zeros((MAX_DENSE_ORDER + 1, MAX_DENSE_ORDER + 1)))
+
+
 def test_sym_eigs_desk_scale_runs():
     lap = matrices(build_caterpillar(validate_spec((10,) * 10)))["L"]
     res = sym_eigs(lap)
@@ -93,6 +105,70 @@ def test_mu_oracle_examples(worked_spec, path_spec):
 def test_mu_oracle_needs_two_vertices():
     with pytest.raises(ValueError):
         mu_oracle(validate_spec((0,)))
+
+
+COUNT_POINTS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2))
+
+
+@given(specs(max_k=7, max_q=5))
+@settings(max_examples=150)
+@example(validate_spec((0,)))
+@example(validate_spec((0, 0, 0, 0)))
+@example(validate_spec((5,)))
+@example(validate_spec((3, 0, 0, 2, 0)))
+def test_laplacian_count_matches_eigvalsh(spec):
+    # x = 1 zeroes every leaf, x = 2 hits the eigenvalue of paths and of T(0,0)
+    ev = np.linalg.eigvalsh(matrices(build_caterpillar(spec))["L"])
+    for x in COUNT_POINTS:
+        want = (int(np.sum(ev < float(x) - 1e-9)), int(np.sum(np.abs(ev - float(x)) <= 1e-9)))
+        assert laplacian_count(spec, x) == want, f"x = {x}"
+
+
+def test_laplacian_count_does_not_depend_on_the_leg_total():
+    spec = validate_spec((10**9, 10**9, 3))
+    assert laplacian_count(spec, 0) == (0, 1)
+    assert laplacian_count(spec, 1) == (3, 2 * 10**9)   # each spine vertex -1/2, q_i - 1 leaves 0
+    assert sum(laplacian_count(spec, 10**10)) == 2 * 10**9 + 6
+
+
+def test_mu_matches_jacobi_on_the_verify_distribution():
+    for spec in verify.random_specs(200, 8, 6, 7):
+        if spec.k >= 2:
+            dense = sym_eigs(matrices(build_caterpillar(spec))["L"]).values[1]
+            assert abs(mu_oracle(spec) - dense) <= 1e-12, spec.q
+
+
+@pytest.mark.parametrize("q", [(4, 9, 0, 1), (4, 4, 1, 2), (1,) * 150, (0,) * 60,
+                               (10**6, 10**6, 3), (9, 5, 5, 4, 2, 0, 3)])
+def test_mu_oracle_is_correctly_rounded(q):
+    # the true mu lies within half an ulp of the reported double: fewer than
+    # two eigenvalues up to the midpoint below it, at least two up to the one above
+    spec = validate_spec(q)
+    mu = Fraction(mu_oracle(spec))
+    below, above = Fraction(nextafter(float(mu), -inf)), Fraction(nextafter(float(mu), inf))
+    assert sum(laplacian_count(spec, (below + mu) / 2)) <= 1
+    assert sum(laplacian_count(spec, (mu + above) / 2)) >= 2
+
+
+@pytest.mark.parametrize("verdict", [(0, 0), (2, 0)])
+def test_mu_oracle_recovers_from_a_misjudging_float_count(monkeypatch, verdict):
+    # the float count always says "mu is above x" (0, 0) or "below x" (2, 0):
+    # the exact confirmation must widen the bracket and still find mu
+    spec = validate_spec((4, 9, 0, 1))
+    want = mu_oracle.__wrapped__(spec)
+    exact = oracle._inertia
+    monkeypatch.setattr(oracle, "_inertia",
+                        lambda s, x: exact(s, x) if isinstance(x, Fraction) else verdict)
+    assert mu_oracle.__wrapped__(spec) == want
+
+
+def test_mu_oracle_cache_is_bounded():
+    mu_oracle.cache_clear()
+    for q in range(1000):
+        mu_oracle(validate_spec((q % 10, q // 10 % 10, q // 100)))
+    assert mu_oracle.cache_info().misses == 1000
+    assert mu_oracle.cache_info().currsize <= oracle.MU_CACHE_SIZE == 256
+    mu_oracle.cache_clear()
 
 
 # -- integer similarity and determinants -------------------------------------
