@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, cos, pi, sqrt
 
-from .charpoly import IndexOutOfRange, Rational, p_minus2, pprime_minus2
+from .charpoly import IndexOutOfRange, IntPolynomial, Rational, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
 from .model import CaterpillarSpec, derive_params, validate_spec
 from .oracle import bisect_doubles, laplacian_count, mu_oracle
@@ -39,8 +39,8 @@ class CubicSolution:
 
     On the trigonometric path, with t^3 + r t + s the depressed cubic,
     zetas[j] = 2 sqrt(-r/3) cos((theta + 2 pi j)/3) + (q1 + q2 - 2)/3, kept
-    where an exact sign test of the integer cubic confirms it within
-    CUBIC_ROOT_TOL and bisected exactly where it does not.  Pairs
+    where the exact sign test `IntPolynomial.sign_at` of the integer cubic
+    confirms it within CUBIC_ROOT_TOL and bisected where it does not.  Pairs
     with a zero leg skip the trigonometry (the answer {q1+q2, 0, -1} is exact)
     and q1 = q2 = 0 is the zero matrix (flagged degenerate); `method` records
     which of the three paths produced the roots.  Both legs positive always
@@ -76,8 +76,9 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
         # one block is empty: the dense matrix has a zero row, and the rest is
         # a 2x2 block with eigenvalues q1+q2 and -1
         return CubicSolution((float(q1 + q2), 0.0, -1.0), "zero_leg")
-    coeffs = (2 - q1 - q2, (q1 - 1) * (q2 - 1) - q1 - q2, q1 * (q2 - 1) + q2 * (q1 - 1))
-    c2, c1, c0 = (float(c) for c in coeffs)
+    cubic = IntPolynomial((q1 * (q2 - 1) + q2 * (q1 - 1), (q1 - 1) * (q2 - 1) - q1 - q2,
+                           2 - q1 - q2, 1))
+    c0, c1, c2 = (float(c) for c in cubic.coeffs[:3])
     r = c1 - c2 * c2 / 3.0
     s = 2.0 * (c2 / 3.0) ** 3 - c2 * c1 / 3.0 + c0
     rad = -((r / 3.0) ** 3) - (s / 2.0) ** 2
@@ -85,7 +86,7 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
     amp = 2.0 * sqrt(-r / 3.0)
     base = (q1 + q2 - 2) / 3.0
     zetas = tuple(amp * cos((theta + 2.0 * pi * j) / 3.0) + base for j in range(3))
-    return CubicSolution(_certify_roots(coeffs, zetas), "trig")
+    return CubicSolution(_certify_roots(cubic, zetas), "trig")
 
 
 # a trigonometric root is kept when an exact sign test puts a root of the
@@ -93,25 +94,18 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
 CUBIC_ROOT_TOL = 1e-12
 
 
-def _cubic_sign(c: tuple[int, int, int], x: float) -> int:
-    """Exact sign of x^3 + c2 x^2 + c1 x + c0 at the double x."""
-    n, d = x.as_integer_ratio()
-    c2, c1, c0 = c
-    v = ((n + c2 * d) * n + c1 * d * d) * n + c0 * d ** 3
-    return (v > 0) - (v < 0)
-
-
-def _certify_roots(c: tuple[int, int, int], zetas) -> tuple[float, float, float]:
-    """The three roots of the integer cubic x^3 + c2 x^2 + c1 x + c0, each within
-    CUBIC_ROOT_TOL of the exact one.
+def _certify_roots(cubic: IntPolynomial, zetas) -> tuple[float, float, float]:
+    """The three roots of the monic integer cubic x^3 + c2 x^2 + c1 x + c0, each
+    within CUBIC_ROOT_TOL of the exact one.
 
     The trigonometric form cancels terms of size q1 + q2, so its small roots
     lose digits as the legs grow (4.7e-8 off at q = (10^5, 1)).  A root that
-    fails the exact sign test is bisected, with exact signs, to adjacent
-    doubles inside its isolating interval: below, between or above the two
+    fails the exact sign test (`IntPolynomial.sign_at`, shared with
+    `oracle.min_root`) is bisected on the same signs to adjacent doubles
+    inside its isolating interval: below, between or above the two
     critical points, within the Cauchy bound.
     """
-    c2, c1, c0 = c
+    c0, c1, c2, _ = cubic.coeffs
     half = sqrt(c2 * c2 - 3 * c1)
     bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
     edges = (-bound, (-c2 - half) / 3.0, (-c2 + half) / 3.0, bound)
@@ -119,11 +113,11 @@ def _certify_roots(c: tuple[int, int, int], zetas) -> tuple[float, float, float]
     for rank, j in enumerate(sorted(range(3), key=lambda j: zetas[j])):
         z = zetas[j]
         d = CUBIC_ROOT_TOL * max(1.0, abs(z))
-        if _cubic_sign(c, z - d) * _cubic_sign(c, z + d) <= 0:
+        if cubic.sign_at(z - d) * cubic.sign_at(z + d) <= 0:
             continue
         lo, hi = edges[rank], edges[rank + 1]
-        s_lo = _cubic_sign(c, lo)
-        out[j] = bisect_doubles(lambda x: _cubic_sign(c, x) != s_lo, lo, hi)[1]
+        s_lo = cubic.sign_at(lo)
+        out[j] = bisect_doubles(lambda x: cubic.sign_at(x) != s_lo, lo, hi)[1]
     return (out[0], out[1], out[2])
 
 

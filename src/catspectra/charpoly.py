@@ -113,6 +113,18 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x) -> int:
+        """Exact sign of p(x) for a double, int or Fraction x.
+
+        With x = n/d and d > 0, d^deg p(x) is a homogeneous integer Horner.
+        """
+        n, d = x.as_integer_ratio()
+        acc, dpow = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * n + c * dpow
+            dpow *= d
+        return (acc > 0) - (acc < 0)
+
     def deriv(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0,))
 

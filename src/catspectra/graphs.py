@@ -105,9 +105,15 @@ def incidence(g: Graph) -> np.ndarray:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Graph on the edges of g, adjacent when they share an endpoint."""
+    """Graph on the edges of g, adjacent when they share an endpoint.
+
+    Base graphs with more than MAX_DENSE_ORDER edges raise OrderTooLarge
+    before the O(m^2) pair scan; `matrices` refuses such a line graph anyway.
+    """
     if g.m == 0:
         raise NoEdges("line graph needs at least one edge")
+    if g.m > MAX_DENSE_ORDER:
+        raise OrderTooLarge(f"the line graph has order {g.m}, above the cap of {MAX_DENSE_ORDER}")
     edges = []
     for i in range(g.m):
         for j in range(i + 1, g.m):

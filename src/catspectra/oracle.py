@@ -13,12 +13,12 @@ Four kinds of oracle live here:
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
   `lap_charpoly_eval` evaluates det(tI - L) of a tree exactly by leaf
   elimination, division-free;
-* root isolation (`min_root`): square-free reduction, a float grid scan for
-  the leftmost sign change, then exact rational bisection.
+* root isolation (`min_root`): a Sturm count bisected to adjacent doubles.
 
 None of this uses the recurrences under test, and nothing here calls
 numpy's eigensolver; numpy is array plumbing only, imported by the dense
-functions that need it, so the count and `mu_oracle` run without it.
+functions (`sym_eigs`) alone, so the count, `mu_oracle`, the exact
+determinants and `min_root` run without it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class NonConvergence(RuntimeError):
 
 
 class NoRootFound(RuntimeError):
-    """No sign change of the (square-free) polynomial inside the search window."""
+    """The polynomial has no root inside the search window (or is zero)."""
 
 
 @dataclass
@@ -274,6 +274,8 @@ def lap_charpoly_eval(g: Graph, t: int) -> int:
 
     Rooted at vertex 1: a_v = (t - d_v) prod_c a_c - sum_c b_c prod_{c' != c} a_{c'},
     b_v = prod_c a_c over children c; the determinant telescopes to a_root.
+    The sum is kept as a running pair over the children, so each vertex costs
+    O(children) products.
     """
     n = g.n
     if n == 0:
@@ -296,17 +298,11 @@ def lap_charpoly_eval(g: Graph, t: int) -> int:
     bv = {}
     for u in reversed(order):
         kids = [w for w in adj[u] if parent.get(w) == u]
-        prod = 1
+        prod, rest = 1, 0
         for w in kids:
+            rest = rest * av[w] + bv[w] * prod
             prod *= av[w]
-        acc = (t - len(adj[u])) * prod
-        for w in kids:
-            rest = 1
-            for w2 in kids:
-                if w2 != w:
-                    rest *= av[w2]
-            acc -= bv[w] * rest
-        av[u] = acc
+        av[u] = (t - len(adj[u])) * prod - rest
         bv[u] = prod
     return av[1]
 
@@ -315,99 +311,56 @@ def lap_charpoly_eval(g: Graph, t: int) -> int:
 # root isolation
 # ---------------------------------------------------------------------------
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    """Polynomial divmod on ascending Fraction coefficient lists."""
-    r = list(a)
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        quot[shift] += f
-        for i, bc in enumerate(b):
-            r[shift + i] -= f * bc
-        r.pop()
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return quot, (r or [Fraction(0)])
+def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """p, p', then each negated pseudo-remainder divided by its content.
 
-
-def _square_free(p: IntPolynomial) -> IntPolynomial:
-    """p with repeated roots collapsed to simple ones: p / gcd(p, p')."""
-    if p.degree <= 1:
-        return p
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in p.deriv().coeffs]
-    while True:
-        _, r = _frac_divmod(a, b)
-        if len(r) == 1 and r[0] == 0:
+    The chain ends at gcd(p, p') up to a constant factor, or at p' = 0 for a
+    constant p, whose zero sign is skipped like any other.  A division step
+    multiplies the running remainder by |lc(b)| only, and the content divided
+    out is positive, so every member has the sign of the classical Sturm
+    sequence's member at every x.
+    """
+    chain = [p, p.deriv()]
+    while chain[-1].degree > 0:
+        r, b = list(chain[-2].coeffs), chain[-1].coeffs
+        scale, sgn = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+        while len(r) >= len(b):
+            f = sgn * r.pop()           # the leading terms of scale * r and f x^s b cancel
+            shift = len(r) - len(b) + 1
+            r = [scale * c for c in r]
+            for i, bc in enumerate(b[:-1]):
+                r[shift + i] -= f * bc
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
             break
-        a, b = b, [c / r[-1] for c in r]      # keep remainders monic
-    g = b
-    if len(g) == 1:
-        return p
-    quot, rem = _frac_divmod([Fraction(c) for c in p.coeffs], g)
-    assert len(rem) == 1 and rem[0] == 0, "gcd does not divide p"
-    denom = 1
-    for c in quot:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in quot]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
-    return IntPolynomial(tuple(ints))
+        content = gcd(*r)
+        chain.append(IntPolynomial(tuple(-c // content for c in r)))
+    return chain
 
 
 def min_root(p: IntPolynomial, lo: float, hi: float) -> float:
-    """Smallest real root of p in [lo, hi] to absolute tolerance 1e-12.
+    """Smallest real root of p in [lo, hi]: lo itself, or the double just at or above it.
 
-    Grid scan (step <= 1e-3) of the square-free part for the leftmost sign
-    change, signs confirmed exactly over the rationals, then exact bisection.
-    Repeated roots are fine (the square-free part changes sign at them).
+    Sturm's theorem: with V(x) the sign changes of the chain at x, zeros
+    skipped, and p(lo) != 0, V(lo) - V(x) counts the distinct roots in
+    (lo, x].  At a repeated root every member vanishes and V(x) = 0, which
+    still reads as a root up to x, so V(x) < V(lo) is monotone in x and is
+    bisected to adjacent doubles with exact signs (`IntPolynomial.sign_at`).
     """
-    import numpy as np
-
     if hi <= lo:
         raise ValueError("empty interval")
-
-    sf = _square_free(p)
-    if sf.is_zero():
+    if p.is_zero():
         raise NoRootFound("zero polynomial")
-    flo = Fraction(lo)
-    fhi = Fraction(hi)
-    nsteps = max(1, int(np.ceil((hi - lo) / 1e-3)))
-    step = (fhi - flo) / nsteps
-    xs = np.linspace(lo, hi, nsteps + 1)
-    ys = sf(xs)
+    if p.sign_at(lo) == 0:
+        return lo
+    chain = _sturm_chain(p)
 
-    def exact_sign(x: Fraction) -> int:
-        val = sf(x)
-        return (val > 0) - (val < 0)
+    def changes(x) -> int:
+        signs = [s for s in (f.sign_at(x) for f in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    candidates = np.nonzero(ys[:-1] * ys[1:] <= 0)[0]
-    for i in candidates:
-        a = flo + int(i) * step
-        b = a + step
-        sa, sb = exact_sign(a), exact_sign(b)
-        if sa == 0:
-            return float(a)
-        if sb == 0:
-            return float(b)
-        if sa * sb > 0:
-            continue        # float roundoff suggested a change that is not there
-        while float(b - a) > 1e-12:
-            mid = (a + b) / 2
-            sm = exact_sign(mid)
-            if sm == 0:
-                return float(mid)
-            if sm == sa:
-                a = mid
-            else:
-                b = mid
-        return float((a + b) / 2)
-    raise NoRootFound(f"no sign change of degree-{sf.degree} square-free part in [{lo}, {hi}]")
+    v_lo = changes(lo)
+    if changes(hi) >= v_lo:
+        raise NoRootFound(f"no root of the degree-{p.degree} polynomial in [{lo}, {hi}]")
+    return bisect_doubles(lambda x: changes(x) < v_lo, lo, hi)[1]

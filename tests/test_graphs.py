@@ -111,6 +111,14 @@ def test_line_graph_needs_edges():
         line_graph(build_caterpillar(validate_spec((0,))))
 
 
+def test_line_graph_refuses_more_edges_than_the_dense_cap():
+    with pytest.raises(OrderTooLarge, match="above the cap"):
+        line_graph(build_caterpillar(validate_spec((300, 1))))
+    g = build_caterpillar(validate_spec((MAX_DENSE_ORDER - 2, 1)))
+    assert g.m == MAX_DENSE_ORDER
+    assert line_graph(g).n == MAX_DENSE_ORDER
+
+
 def test_complete_graph_counts():
     assert complete_graph(0).n == 0
     assert complete_graph(1).m == 0

@@ -1,5 +1,5 @@
-"""Import hygiene: no module of the package or the scripts imports a name it
-never uses, the invariant suite does not import the CLI, the public API
+"""Import hygiene: no module of the package, the scripts or the tests imports
+a name it never uses, the invariant suite does not import the CLI, the public API
 (`catspectra.__all__`) resolves and covers the README's library example, and
 the package, `bounds` and `charpoly` run without loading numpy.
 
@@ -17,7 +17,8 @@ from pathlib import Path
 import catspectra
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "catspectra").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = [path for folder in (ROOT / "src" / "catspectra", ROOT / "scripts", ROOT / "tests")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -2,6 +2,7 @@
 count on the tree and the mu it locates, exact integer linear algebra, the
 tree determinant and rational root isolation."""
 
+import time
 from fractions import Fraction
 from math import inf, nextafter
 
@@ -10,12 +11,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catspectra import oracle, verify
-from catspectra.charpoly import IntPolynomial, build_C, charpoly_p
+from catspectra.charpoly import IntPolynomial, build_C, charpoly_p, shifted_pruned_charpoly
 from catspectra.graphs import MAX_DENSE_ORDER, Graph, build_caterpillar, matrices
 from catspectra.model import OrderTooLarge, validate_spec
 from catspectra.oracle import (
     NoRootFound,
-    _square_free,
     deradicalize,
     exact_det,
     lap_charpoly_eval,
@@ -232,29 +232,21 @@ def test_lap_charpoly_eval_matches_bareiss(worked_spec):
         assert lap_charpoly_eval(g, t) == sign * exact_det(lap, t)
 
 
+def test_lap_charpoly_eval_is_linear_in_the_child_count():
+    # star formula t (t-1)^(m-1) (t-m-1) with m = 6000 leaves, at t = 3
+    g = build_caterpillar(validate_spec((6000,)))
+    start = time.perf_counter()
+    val = lap_charpoly_eval(g, 3)
+    assert time.perf_counter() - start < 0.25
+    assert val == 3 * 2**5999 * (3 - 6001)
+
+
 def test_lap_charpoly_eval_rejects_forests():
     with pytest.raises(ValueError):
         lap_charpoly_eval(Graph(n=2, edges=()), 1)
 
 
 # -- root isolation -----------------------------------------------------------
-
-def test_square_free_collapses_multiplicity():
-    p = IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((2, 1))
-    sf = _square_free(p)
-    assert sf.degree == 2
-    assert sf(1) == 0 and sf(-2) == 0
-
-
-def test_square_free_reduces_content():
-    p = 4 * (IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)))
-    assert _square_free(p).coeffs in ((-1, 1), (1, -1))
-
-
-def test_square_free_passthrough():
-    p = IntPolynomial((-2, 0, 1))
-    assert _square_free(p).coeffs == p.coeffs
-
 
 def test_min_root_sqrt2():
     p = IntPolynomial((-2, 0, 1))
@@ -284,6 +276,64 @@ def test_min_root_no_root():
 def test_min_root_picks_leftmost():
     p = IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)) * IntPolynomial((-7, 2))
     assert abs(min_root(p, 0.0, 10.0) - 1.0) <= 1e-12
+
+
+def test_min_root_separates_two_roots_closer_than_a_grid_cell():
+    p = IntPolynomial((-1, 5000)) * IntPolynomial((-9, 10000))     # roots 0.0002, 0.0009
+    assert min_root(p, 1e-9, 2.0) == 0.0002
+
+
+@st.composite
+def linear_products(draw):
+    """(p, roots) for p a product of integer linear factors a x - b.
+
+    Roots repeat, cluster within 1e-4 of each other, and some are dyadic so
+    that they can be exact interval ends.
+    """
+    a = st.integers(min_value=1, max_value=20000)
+    factors = draw(st.lists(st.tuples(a, st.integers(min_value=-40000, max_value=40000)),
+                            min_size=1, max_size=4))
+    b0 = draw(st.integers(min_value=-64, max_value=64))
+    factors.append((2 ** draw(st.integers(min_value=0, max_value=6)), b0))   # dyadic root
+    a1, b1 = factors[0]
+    if draw(st.booleans()):
+        factors.append((a1 * 10000, b1 * 10000 + 1))        # within 1e-4 of b1 / a1
+    if draw(st.booleans()):
+        factors.append(draw(st.sampled_from(factors)))     # a repeated root
+    p = IntPolynomial((1,))
+    for fa, fb in factors:
+        p = p * IntPolynomial((-fb, fa))
+    return p, sorted({Fraction(fb, fa) for fa, fb in factors})
+
+
+@given(linear_products(), st.data())
+@settings(max_examples=150)
+def test_min_root_brackets_the_smallest_root_to_one_ulp(poly_roots, data):
+    p, roots = poly_roots
+    dyadic = [float(r) for r in roots if Fraction(float(r)) == r]
+    end = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from(dyadic))
+    lo, hi = sorted((data.draw(end), data.draw(end)))
+    if lo == hi:
+        hi = lo + 1.0
+    inside = [r for r in roots if lo <= r <= hi]
+    if not inside:
+        with pytest.raises(NoRootFound):
+            min_root(p, lo, hi)
+        return
+    got = min_root(p, lo, hi)
+    want = inside[0]
+    if want == lo:
+        assert got == lo
+    else:
+        assert Fraction(nextafter(got, -inf)) < want <= Fraction(got)
+
+
+def test_min_root_matches_mu_oracle_to_one_ulp():
+    for spec in verify.random_specs(200, 8, 6, 7):
+        if spec.k >= 2:
+            mu = mu_oracle(spec)
+            root = min_root(shifted_pruned_charpoly(spec), 1e-9, 2.0 + 1e-6)
+            assert root in (mu, nextafter(mu, inf)), spec.q
 
 
 @given(specs(min_k=2))
