@@ -73,14 +73,6 @@ def test_divmod_linear_example():
     assert rem == p(4) == 6
 
 
-def test_sign_at_examples():
-    p = IntPolynomial((-2, 0, 1))  # x^2 - 2
-    assert [p.sign_at(x) for x in (0, 1.5, -1.5, 1.4142135623730951)] == [-1, 1, 1, 1]
-    assert p.sign_at(1.414213562373095) == -1
-    assert IntPolynomial((0,)).sign_at(0.3) == 0
-    assert IntPolynomial((-1, 3)).sign_at(Fraction(1, 3)) == 0
-
-
 big_int_polys = st.lists(st.integers(min_value=-10**30, max_value=10**30),
                          min_size=1, max_size=9).map(lambda c: IntPolynomial(tuple(c)))
 points = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -89,6 +81,10 @@ points = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 @given(big_int_polys, points)
 @settings(max_examples=200)
+@example(IntPolynomial((-2, 0, 1)), 1.4142135623730951)     # the doubles either side of sqrt(2)
+@example(IntPolynomial((-2, 0, 1)), 1.414213562373095)
+@example(IntPolynomial((-1, 3)), Fraction(1, 3))           # an exact root
+@example(IntPolynomial((0,)), 0.3)
 def test_sign_at_matches_fraction_horner(p, x):
     val = p(Fraction(x))
     assert p.sign_at(x) == (val > 0) - (val < 0)
