@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .model import CaterpillarSpec, OrderTooLarge, derive_params, validate_spec
+from .model import CaterpillarSpec, OrderTooLarge, derive_params
 
 if TYPE_CHECKING:
     import numpy as np
@@ -222,21 +222,6 @@ def prune_zero(c: StructuredC) -> StructuredC:
         diag=tuple(c.diag[s] for s in keep),
         offdiag=offdiag,
         slot_q=tuple(c.slot_q[s] for s in keep),
-    )
-
-
-def deleted_C(spec: CaterpillarSpec, i: int) -> StructuredC:
-    """Delete the 2i-th row and column of C: the direct sum C(q_1..q_i) + C(q_{i+1}..q_k)."""
-    if not 1 <= i <= spec.k - 1:
-        raise IndexOutOfRange(f"deletion index {i} outside 1..{spec.k - 1}")
-    left = build_C(validate_spec(spec.q[:i]))
-    right = build_C(validate_spec(spec.q[i:]))
-    off = left.dim
-    return StructuredC(
-        dim=left.dim + right.dim,
-        diag=left.diag + right.diag,
-        offdiag=left.offdiag + tuple((a + off, b + off, w2) for a, b, w2 in right.offdiag),
-        slot_q=left.slot_q + right.slot_q,
     )
 
 

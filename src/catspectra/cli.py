@@ -180,15 +180,18 @@ def run_verify(specs: list[CaterpillarSpec], tol: float) -> tuple[list[str], lis
     from . import verify    # the suite's dense oracles load numpy; bounds and charpoly need none
 
     failures, notes = [], []
-    for name, kmin, check in verify.INVARIANT_CHECKS:
-        ran = [spec for spec in specs if spec.k >= kmin]
-        failed = 0
-        for spec in ran:
-            msg = check(spec, tol)
-            if msg:
-                failed += 1
-                failures.append(f"FAIL {name} T{q_label(spec.q)}: {msg}")
-        print(f"{'FAIL' if failed else 'PASS'} {name} ({len(ran)} specs)")
+    try:
+        for name, kmin, check in verify.INVARIANT_CHECKS:
+            ran = [spec for spec in specs if spec.k >= kmin]
+            failed = 0
+            for spec in ran:
+                msg = check(spec, tol)
+                if msg:
+                    failed += 1
+                    failures.append(f"FAIL {name} T{q_label(spec.q)}: {msg}")
+            print(f"{'FAIL' if failed else 'PASS'} {name} ({len(ran)} specs)")
+    finally:
+        verify._c_eigs.cache_clear()    # the checks of one run share its dense solves, no later run
     for spec in specs:
         if spec.q not in verify.REFERENCE_VALUES:
             continue

@@ -83,5 +83,6 @@ def q_label(q) -> str:
 
 
 def fmt4(x: float) -> str:
-    """4 decimal places, half-even, dot separator."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+    """4 decimal places, half-even, dot separator; a value that rounds to zero prints 0.0000."""
+    d = Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN)
+    return str(abs(d) if d.is_zero() else d)

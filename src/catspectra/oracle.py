@@ -6,14 +6,17 @@ Four kinds of oracle live here:
   Jacobs and Trevisan's tree diagonalization in its Laplacian form (Braga,
   Rodrigues and Trevisan, Discrete Math. 313, 2013), and the algebraic
   connectivity `mu_oracle` located by bisecting that count;
-* a dense symmetric eigensolver (`sym_eigs`), row-cyclic Jacobi with
-  vectorized row and column updates, the cross-check of the count;
+* a dense symmetric eigensolver (`sym_eigs`), cyclic Jacobi in the
+  round-robin ordering of Brent and Luk (1985), each round of disjoint
+  rotations applied at once (Luk and Park 1989 show the ordering equivalent
+  to the row-cyclic one), the cross-check of the count;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
   `lap_charpoly_eval` evaluates det(tI - L) of a tree exactly by leaf
   elimination, division-free;
-* root isolation (`min_root`): a Sturm count bisected to adjacent doubles.
+* root counting (`sturm_count`): distinct roots of an integer polynomial in
+  an interval, by one Sturm chain; `min_root` bisects it to adjacent doubles.
 
 None of this uses the recurrences under test, and nothing here calls
 numpy's eigensolver; numpy is array plumbing only, imported by the dense
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .charpoly import IntPolynomial, StructuredC
 from .graphs import MAX_DENSE_ORDER, Graph
@@ -65,13 +68,57 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
+def _round_robin(n: int) -> np.ndarray:
+    """The round-robin schedule of one Jacobi sweep on order n, as one permutation.
+
+    Pivot pairs are listed flat, (p_0, q_0, p_1, q_1, ...), over m = n + n % 2
+    indices; odd n gets a phantom index n, whose partner sits the round out.
+    Round 0 pairs (0, 1), (2, 3), ...; round r + 1 lists round r's flat
+    order taken through the returned permutation, `order[move]`.  That is the
+    circle method: seat 0 stays put, everyone else moves on one seat, seat j
+    plays seat m - 1 - j.  After m - 1 rounds, one sweep, every pair has met
+    once and the order is round 0's again.
+    """
+    import numpy as np
+
+    m = n + n % 2
+    seats = np.concatenate((np.arange(0, m, 2), np.arange(m - 1, 0, -2)))  # j, m-1-j: 2j, 2j+1
+    turned = np.concatenate((seats[:1], seats[-1:], seats[1:-1]))
+    return np.stack((turned[:m // 2], turned[::-1][:m // 2]), axis=1).reshape(-1)
+
+
+def _jacobi_cs(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray,
+               hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of the inner rotations (|theta| <= pi/4) that zero a[p, q].
+
+    Pairs outside `hit` get the identity, c = 1 and s = 0 exactly.
+    """
+    import numpy as np
+
+    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(len(apq)), where=hit)
+    at = np.abs(tau)
+    big = at > 1e150        # there t = 1/(2 tau) to working precision, and tau * tau overflows
+    root = np.where(big, at, np.sqrt(1.0 + np.where(big, 0.0, at) ** 2))
+    t = np.copysign(hit / (at + root), tau)
+    c = 1.0 / np.hypot(1.0, t)
+    return c, t * c
+
+
 def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     """All eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
 
-    Row-cyclic pivot order with the inner-rotation convention (|theta| <=
-    pi/4), which is the provably convergent combination; row and column
-    updates are vectorized.  Convergence: off-diagonal Frobenius norm below
-    1e-12 * ||M||_F, cap max_sweeps full sweeps (NonConvergence beyond it).
+    The pivot pairs follow the round-robin ordering of Brent and Luk (SIAM J.
+    Sci. Stat. Comput. 6, 1985): a sweep is n - 1 rounds (n for odd n) of
+    disjoint pairs, each pair of indices met once.  Rotations on disjoint
+    pairs commute and none changes an entry another one reads, so a round is
+    one orthogonal J applied at once, a <- J^T a J and v <- v J; the
+    annihilated a[p, q] are then set to exactly 0.  The matrix is kept in the
+    current round's pair order, so J is block diagonal with 2 x 2 blocks.
+    Luk and Park (SIAM J. Sci. Stat. Comput. 10, 1989) show this ordering
+    equivalent to the row-cyclic one, so with inner rotations (|theta| <=
+    pi/4) it converges.  Pairs with |a[p, q]| <= tol / (2n) are not rotated.
+    Stop: off-diagonal Frobenius norm below tol = 1e-12 * ||M||_F, checked
+    before each sweep, cap max_sweeps sweeps (NonConvergence beyond it).
     Matrices of order above MAX_DENSE_ORDER raise OrderTooLarge before any
     work: a sweep costs O(n^3), so the solve would run for minutes to hours.
     """
@@ -89,8 +136,15 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
         raise ValueError("matrix is not symmetric")
 
-    a = (m + m.T) / 2.0
-    v = np.eye(n)
+    move = _round_robin(n)
+    size = len(move)            # n, plus a phantom row and column of zeros for odd n
+    half, stride = size // 2, 2 * size + 2      # stride: flat step from pair (p, q) to the next
+    both = np.ix_(move, move)
+    blocks = np.empty((half, 4))
+    g = blocks.reshape(half, 2, 2)     # the 2 x 2 diagonal blocks of J^T, one per pair
+    a = np.zeros((size, size))
+    a[:n, :n] = (m + m.T) / 2.0
+    w = np.eye(size)            # v^T: row i pairs with a[i, i]
     tol = 1e-12 * max(np.linalg.norm(a), 1e-300)
     skip = tol / (2.0 * n)      # rotations below this cannot keep the norm above tol
     sweeps = 0
@@ -99,30 +153,24 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
             raise NonConvergence(
                 f"off-diagonal norm {_offdiag_norm(a):.3e} after {sweeps} sweeps (tol {tol:.3e})"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for _ in range(size - 1):
+            flat = a.reshape(-1)
+            apq = flat[1::stride]
+            hit = np.abs(apq) > skip
+            if hit.any():
+                c, s = _jacobi_cs(flat[0::stride], flat[size + 1::stride], apq, hit)
+                blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3] = c, -s, s, c
+                a = (g @ a.reshape(half, 2, size)).reshape(size, size).T      # (J^T a)^T = a J
+                a = (g @ a.reshape(half, 2, size)).reshape(size, size)        # J^T a J
+                w = (g @ w.reshape(half, 2, size)).reshape(size, size)
+                flat = a.reshape(-1)
+                flat[1::stride][hit] = 0.0
+                flat[size::stride][hit] = 0.0
+            a, w = a[both], w[move]
         sweeps += 1
 
+    # a full sweep brings the order back to round 0's, the identity; drop the phantom
+    a, v = a[:n, :n], w[:n, :n].T
     vals = np.diag(a).copy()
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
@@ -339,21 +387,18 @@ def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
-def min_root(p: IntPolynomial, lo: float, hi: float) -> float:
-    """Smallest real root of p in [lo, hi]: lo itself, or the double just at or above it.
+def sturm_count(p: IntPolynomial, lo) -> Callable[[object], int]:
+    """x -> the number of distinct roots of p in (lo, x], from one Sturm chain.
 
     Sturm's theorem: with V(x) the sign changes of the chain at x, zeros
     skipped, and p(lo) != 0, V(lo) - V(x) counts the distinct roots in
-    (lo, x].  At a repeated root every member vanishes and V(x) = 0, which
-    still reads as a root up to x, so V(x) < V(lo) is monotone in x and is
-    bisected to adjacent doubles with exact signs (`IntPolynomial.sign_at`).
+    (lo, x] for x >= lo, x a simple root included.  At a repeated root every
+    member vanishes and V(x) = 0, so the count there is V(lo): too large,
+    but positive, so "a root in (lo, x]" still reads right.  Signs are exact
+    (`IntPolynomial.sign_at`); the chain is built once.
     """
-    if hi <= lo:
-        raise ValueError("empty interval")
-    if p.is_zero():
-        raise NoRootFound("zero polynomial")
     if p.sign_at(lo) == 0:
-        return lo
+        raise ValueError(f"the Sturm count needs p({lo}) != 0")
     chain = _sturm_chain(p)
 
     def changes(x) -> int:
@@ -361,6 +406,22 @@ def min_root(p: IntPolynomial, lo: float, hi: float) -> float:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     v_lo = changes(lo)
-    if changes(hi) >= v_lo:
+    return lambda x: v_lo - changes(x)
+
+
+def min_root(p: IntPolynomial, lo: float, hi: float) -> float:
+    """Smallest real root of p in [lo, hi]: lo itself, or the double just at or above it.
+
+    The predicate "a root in (lo, x]" of `sturm_count` is bisected to
+    adjacent doubles.
+    """
+    if hi <= lo:
+        raise ValueError("empty interval")
+    if p.is_zero():
+        raise NoRootFound("zero polynomial")
+    if p.sign_at(lo) == 0:
+        return lo
+    count = sturm_count(p, lo)
+    if not count(hi):
         raise NoRootFound(f"no root of the degree-{p.degree} polynomial in [{lo}, {hi}]")
-    return bisect_doubles(lambda x: changes(x) < v_lo, lo, hi)[1]
+    return bisect_doubles(lambda x: count(x) > 0, lo, hi)[1]

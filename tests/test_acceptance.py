@@ -21,7 +21,6 @@ from catspectra.bounds import bounds_report, cardano_roots, trace_inv, trace_inv
 from catspectra.charpoly import (
     build_C,
     charpoly_p,
-    deleted_C,
     laplacian_charpoly,
     laplacian_spectrum,
     p_minus2,
@@ -30,7 +29,7 @@ from catspectra.charpoly import (
 from catspectra.graphs import build_caterpillar, incidence, line_graph, matrices
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
-from catspectra.verify import random_specs
+from catspectra.verify import deleted_C, random_specs
 
 # the seed-fixed sample shared by criteria 4 and 5
 SAMPLE = random_specs(200, kmax=8, qmax=6, seed=7)

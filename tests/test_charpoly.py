@@ -22,7 +22,6 @@ from catspectra.charpoly import (
     as_multiset,
     build_C,
     charpoly_p,
-    deleted_C,
     laplacian_charpoly,
     laplacian_spectrum,
     p_minus2,
@@ -32,6 +31,7 @@ from catspectra.charpoly import (
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, sym_eigs
 from catspectra.graphs import build_caterpillar
+from catspectra.verify import deleted_C
 
 from conftest import eval_points, specs
 

@@ -40,6 +40,13 @@ def test_fmt4_half_even():
     assert cli.fmt4(10.611111) == "10.6111"
 
 
+def test_fmt4_prints_no_negative_zero():
+    assert cli.fmt4(-1e-15) == "0.0000"
+    assert cli.fmt4(-0.0) == "0.0000"
+    assert cli.fmt4(-0.00005) == "0.0000"      # half-even to zero
+    assert cli.fmt4(-0.00006) == "-0.0001"
+
+
 # -- records ------------------------------------------------------------------
 
 def test_spectrum_record_shape(worked_spec):
@@ -140,6 +147,16 @@ def test_cmd_spectrum_text(capsys):
     out = capsys.readouterr().out
     assert "T(1,1): n=4" in out
     assert "0.5858^1" in out
+
+
+def test_cmd_spectrum_prints_a_round_off_zero_without_its_sign(capsys):
+    # T(1^20) has the line-graph eigenvalue 0; its computed value carries a round-off sign
+    q = ",".join(["1"] * 20)
+    for fmt in ("text", "csv"):
+        assert cli.main(["spectrum", "--q", q, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0000" not in out
+    assert ";lineA;0.0000;1" in out
 
 
 def test_cmd_charpoly_text(capsys):

@@ -3,7 +3,10 @@ count on the tree and the mu it locates, exact integer linear algebra, the
 tree determinant and rational root isolation."""
 
 import time
+import warnings
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import inf, nextafter
 
 import numpy as np
@@ -16,12 +19,14 @@ from catspectra.graphs import MAX_DENSE_ORDER, Graph, build_caterpillar, matrice
 from catspectra.model import OrderTooLarge, validate_spec
 from catspectra.oracle import (
     NoRootFound,
+    NonConvergence,
     deradicalize,
     exact_det,
     lap_charpoly_eval,
     laplacian_count,
     min_root,
     mu_oracle,
+    sturm_count,
     sym_eigs,
 )
 
@@ -79,6 +84,80 @@ def test_sym_eigs_invariants(m):
     assert np.allclose(res.vectors.T @ res.vectors, np.eye(n), atol=1e-10)
     recon = res.vectors @ np.diag(res.values) @ res.vectors.T
     assert np.allclose(recon, m, atol=1e-9 * (1.0 + np.abs(m).max()))
+
+
+def test_round_robin_rounds_are_disjoint_and_a_sweep_meets_every_pair_once():
+    for n in range(1, 65):
+        move = oracle._round_robin(n)
+        size = n + n % 2
+        order = np.arange(size)
+        met = Counter()
+        for _ in range(size - 1):
+            assert sorted(order) == list(range(size)), n      # each index in exactly one pair
+            met.update((min(p, q), max(p, q)) for p, q in zip(order[0::2], order[1::2])
+                       if max(p, q) < n)
+            order = order[move]
+        assert list(order) == list(range(size)), n            # the next sweep starts over
+        assert met == Counter(combinations(range(n), 2)), n
+
+
+def _tree_laplacian(q):
+    return matrices(build_caterpillar(validate_spec(q)))["L"]
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[2.5]]),
+    np.array([[1.0, 2.0], [2.0, -3.0]]),
+    np.array([[1.0, 1e-3], [1e-3, 1.0]]),
+    _tree_laplacian((6, 6, 6, 6, 6)),       # eigenvalue 1 has multiplicity 25 of n = 35
+    _tree_laplacian((5, 5, 5, 5)),          # n = 24, even
+    _tree_laplacian((40,)),                 # the star K_{1,40}: 1 has multiplicity 39
+    _tree_laplacian((3, 0, 0, 2, 0, 7)),
+], ids=["1x1", "2x2", "2x2-close", "T(6^5)", "T(5^4)", "star", "T(3,0,0,2,0,7)"])
+def test_sym_eigs_matches_eigvalsh(m):
+    res = sym_eigs(m)
+    want = np.linalg.eigvalsh(m)
+    assert np.abs(res.values - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    n = len(m)
+    assert np.allclose(res.vectors.T @ res.vectors, np.eye(n), rtol=0.0, atol=1e-12)
+    assert res.residual <= 1e-11 * max(1.0, np.abs(m).max())
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30)
+def test_sym_eigs_matches_eigvalsh_on_random_symmetric_matrices(n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, n))
+    m = x + x.T
+    want = np.linalg.eigvalsh(m)
+    assert np.abs(sym_eigs(m).values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_jacobi_rotation_past_the_tau_guard():
+    # app = 0, aqq = 1, apq = 1e-160: tau = 5e159, where tau * tau overflows
+    app, aqq, apq = np.array([0.0]), np.array([1.0]), np.array([1e-160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = oracle._jacobi_cs(app, aqq, apq, np.array([True]))
+        res = sym_eigs(np.array([[0.0, 1e-160], [1e-160, 1.0]]))
+    assert c[0] == 1.0 and s[0] == 1.0 / (2.0 * 5e159)
+    # the rotated off-diagonal entry (c^2 - s^2) apq + c s (app - aqq) vanishes
+    assert abs((c[0] ** 2 - s[0] ** 2) * apq[0] + c[0] * s[0] * (app[0] - aqq[0])) <= 1e-176
+    # in sym_eigs that coupling sits below the rotation threshold: no sweep is needed
+    assert list(res.values) == [0.0, 1.0] and res.sweeps == 0
+
+
+def test_jacobi_rotation_leaves_pairs_outside_the_mask_alone():
+    c, s = oracle._jacobi_cs(np.array([1.0, 2.0]), np.array([3.0, 2.0]), np.array([0.0, -1.0]),
+                             np.array([False, True]))
+    assert (c[0], s[0]) == (1.0, 0.0)
+    assert abs(c[1]) == abs(s[1]) == pytest.approx(np.sqrt(0.5), abs=1e-15)    # tau = 0: 45 degrees
+
+
+def test_sym_eigs_raises_nonconvergence_at_the_sweep_cap():
+    m = _tree_laplacian((4, 9, 0, 1))
+    assert sym_eigs(m).sweeps > 1
+    with pytest.raises(NonConvergence, match="after 1 sweeps"):
+        sym_eigs(m, max_sweeps=1)
 
 
 def test_sym_eigs_refuses_orders_above_the_cap():
@@ -276,6 +355,16 @@ def test_min_root_no_root():
 def test_min_root_picks_leftmost():
     p = IntPolynomial((-1, 1)) * IntPolynomial((-3, 1)) * IntPolynomial((-7, 2))
     assert abs(min_root(p, 0.0, 10.0) - 1.0) <= 1e-12
+
+
+def test_sturm_count_counts_distinct_roots_in_a_half_open_interval():
+    # roots 1 (double), 2 and 3; 1/2 is no root
+    p = IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((-2, 1)) * IntPolynomial((-3, 1))
+    count = sturm_count(p, 0.5)
+    assert [count(x) for x in (0.5, 0.9, 1.5, 2.0, 2.5, 3.0, 9.0)] == [0, 0, 1, 2, 2, 3, 3]
+    assert count(1.0) > 0           # a repeated root reads as at least one root up to it
+    with pytest.raises(ValueError):
+        sturm_count(p, 2.0)
 
 
 def test_min_root_separates_two_roots_closer_than_a_grid_cell():
