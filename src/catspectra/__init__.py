@@ -12,9 +12,9 @@ and the graph builders stay importable from `oracle`, `charpoly` and
 `graphs`; the invariant suite is `catspectra.verify`.
 """
 
-from .bounds import (BoundsReport, CardanoBound, CubicSolution, NoValidIndex,
-                     TraceBounds, bounds_report, bounds_trace, cardano_roots,
-                     trace_inv, trace_inv_deleted, ub_cardano)
+from .bounds import (BoundsReport, CardanoBound, CubicSolution, TraceBounds,
+                     bounds_report, bounds_trace, cardano_roots, trace_inv,
+                     trace_inv_deleted, ub_cardano)
 from .charpoly import (IndexOutOfRange, IntPolynomial, charpoly_p,
                        laplacian_charpoly, laplacian_spectrum, p_minus2,
                        pprime_minus2)
@@ -27,7 +27,7 @@ from .oracle import NonConvergence
 __all__ = [
     "BoundsReport", "CardanoBound", "CaterpillarSpec", "CubicSolution",
     "DerivedParams", "EmptySpec", "IndexOutOfRange", "IntPolynomial",
-    "NegativeLegCount", "NoValidIndex", "NonConvergence", "OrderTooLarge",
+    "NegativeLegCount", "NonConvergence", "OrderTooLarge",
     "SpecTooSmall", "TraceBounds", "bounds_report", "bounds_trace",
     "cardano_roots", "charpoly_p", "derive_params", "laplacian_charpoly",
     "laplacian_spectrum", "p_minus2", "pprime_minus2", "trace_inv",

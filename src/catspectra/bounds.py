@@ -29,10 +29,6 @@ from .model import CaterpillarSpec, derive_params, validate_spec
 from .oracle import bisect_doubles, laplacian_count, mu_oracle
 
 
-class NoValidIndex(RuntimeError):
-    """Every deletion index produced a nonpositive trace difference (degenerate)."""
-
-
 @dataclass(frozen=True)
 class CubicSolution:
     """Roots of the characteristic cubic of C(q1, q2).
@@ -163,29 +159,20 @@ class TraceBounds:
 
 
 def bounds_trace(spec: CaterpillarSpec) -> TraceBounds:
-    """lb = 1/trace_inv; ub = min_i 1/(trace_inv - trace_inv_deleted(i)).
+    """lb = 1/trace_inv; ub = min_i 1/(trace_inv - trace_inv_deleted(i)), ties
+    taking the smallest i.
 
-    Indices with a nonpositive denominator are skipped (interlacing makes the
-    denominator positive for every real spec; the guard is for safety), and
-    NoValidIndex reports the degenerate case of no usable index at all.
+    Every denominator is positive: by Cauchy interlacing it is at least
+    1/(lambda_max + 2), and a bug that broke that would surface as a wrong ub
+    in `bounds_report`'s exact sandwich, not be skipped here.
     """
     p, pp = p_minus2(spec), pprime_minus2(spec)
     ti = Fraction(-pp, p)   # trace_inv(spec), from the p and p' the result keeps
     lb = 1 / ti
     if spec.k < 2:
         return TraceBounds(p, pp, lb, None, None)
-    best = None
-    best_i = None
-    for i in range(1, spec.k):
-        denom = ti - trace_inv_deleted(spec, i)
-        if denom <= 0:
-            continue
-        val = 1 / denom
-        if best is None or val < best:
-            best, best_i = val, i
-    if best is None:
-        raise NoValidIndex("all trace differences nonpositive")
-    return TraceBounds(p, pp, lb, best, best_i)
+    ub, ub_index = min((1 / (ti - trace_inv_deleted(spec, i)), i) for i in range(1, spec.k))
+    return TraceBounds(p, pp, lb, ub, ub_index)
 
 
 @dataclass(frozen=True)

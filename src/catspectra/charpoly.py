@@ -3,25 +3,32 @@
 The (2k-1) x (2k-1) symmetric quotient matrix C(q_1, ..., q_k) alternates leg
 slots (diagonal q_i^+ - 1, tied to the neighbouring spine-edge slots with
 weight sqrt(q_i)) and spine-edge slots (diagonal 0, consecutive ones tied with
-weight 1).  Its characteristic polynomial p(q_1, ..., q_k; lambda) =
-det(C - lambda I) is computed exactly over the integers by a three-term prefix
-recurrence.  Let A_i = det(xI - C(q_1..q_i)) and let B_i be the same
-determinant with the spine-edge slot e_i of edge (i, i+1) appended.  Schwenk's
-vertex expansion ("Computing the characteristic polynomial of a graph", LNM
-406, 1974) at the last slot gives, with d_i = q_i^+ - 1, A_0 = 0 and B_0 = 1,
+weight 1).  A leg slot with q_i = 0 is an all-zero row; deleting those b slots
+leaves the pruned matrix C'.  One three-term prefix recurrence computes
+det(xI - C') over whatever ring x lives in.  Let A_i = det(xI - C'(q_1..q_i))
+and let B_i be the same determinant with the spine-edge slot e_i of edge
+(i, i+1) appended.  Schwenk's vertex expansion ("Computing the characteristic
+polynomial of a graph", LNM 406, 1974) at the last slot gives, with
+d_i = q_i - 1, A_0 = 0 and B_0 = 1, for a positive leg
 
     A_i = (x - d_i) B_{i-1} - q_i A_{i-1}
     B_i = x A_i - q_i B_{i-1} - (x - d_i + 2 q_i) A_{i-1}
 
 where the 2 q_i term is the triangle (e_{i-1}, leg_i, e_i) of weight q_i, the
-only cycle through a spine-edge slot; C has odd order, so p = -A_k.  The value
-and derivative of p at -2 come from a separately derived scalar suffix
-recursion, which thereby cross-checks the polynomial.
+only cycle through a spine-edge slot.  A zero leg has no slot in C', so
+A_i = B_{i-1} and e_i, tied only to e_{i-1}, gives B_i = x B_{i-1} - A_{i-1}:
+exactly the factor x the zero row would contribute is left out.  C has odd
+order, so with x = lambda over the integer polynomials
+p = det(C - lambda I) = -lambda^b A_k, and with x = mu - 2 the same loop
+gives the factor of the Laplacian polynomial whose roots are the pruned
+eigenvalues plus 2.  The value and derivative of p at -2 come from a
+separately derived scalar suffix recursion, which thereby cross-checks the
+polynomial.
 
-The full Laplacian characteristic polynomial of the tree is assembled from p:
-the line-graph adjacency spectrum is {-1 with multiplicity a} together
-with the spectrum of C after deleting its b all-zero rows, and the Laplacian
-spectrum is that shifted by +2, together with the eigenvalue 0.
+The full Laplacian characteristic polynomial of the tree is assembled from
+that factor: the line-graph adjacency spectrum is {-1 with multiplicity a}
+together with the spectrum of C', and the Laplacian spectrum is that shifted
+by +2, together with the eigenvalue 0.
 
 Everything in this module is arbitrary-precision integer (or Fraction)
 arithmetic; floating point only appears when a spectrum is requested.
@@ -41,10 +48,6 @@ if TYPE_CHECKING:
 
 # exact rational values (inverse traces and the like) are plain Fractions
 Rational = Fraction
-
-
-class InexactDivision(ArithmeticError):
-    """Polynomial division that must be exact left a remainder (implementation bug)."""
 
 
 class IndexOutOfRange(IndexError):
@@ -82,13 +85,15 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
+        if isinstance(other, int):
+            return IntPolynomial((self.coeffs[0] + other,) + self.coeffs[1:])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "IntPolynomial":
@@ -128,29 +133,8 @@ class IntPolynomial:
     def deriv(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (0,))
 
-    def shift(self, h: int) -> "IntPolynomial":
-        """p(x + h), by Horner over polynomials."""
-        acc = IntPolynomial((0,))
-        lin = IntPolynomial((h, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * lin + IntPolynomial((c,))
-        return acc
-
-    def divmod_linear(self, root: int) -> tuple["IntPolynomial", int]:
-        """Synthetic division by (x - root): returns (quotient, remainder)."""
-        acc = 0
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        if not out:
-            return IntPolynomial((0,)), rem
-        return IntPolynomial(tuple(reversed(out))), rem
-
 
 POLY_X = IntPolynomial((0, 1))
-POLY_ONE = IntPolynomial((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +213,28 @@ def prune_zero(c: StructuredC) -> StructuredC:
 # det(C - lambda I) by the prefix recurrence
 # ---------------------------------------------------------------------------
 
-def charpoly_p(spec: CaterpillarSpec) -> IntPolynomial:
-    """Exact det(C - lambda I); degree 2k-1, leading coefficient -1.
+def _pruned_det(q: tuple[int, ...], x):
+    """det(xI - C') for the pruned C' of the spine q, over the ring of x.
 
     The prefix recurrence of the module docstring, with a = A_i and b = B_i.
     """
-    a, b = IntPolynomial((0,)), POLY_ONE
-    for q in spec.q:
-        d = max(q - 1, 0)
-        a_prev = a
-        a = IntPolynomial((-d, 1)) * b - q * a_prev
-        b = POLY_X * a - q * b - IntPolynomial((2 * q - d, 1)) * a_prev
-    return -a
+    a, b = 0 * x, 0 * x + 1        # A_0 = 0 and B_0 = 1 in the ring of x
+    for qi in q:
+        if qi:
+            x_d = x - (qi - 1)
+            a_prev, a = a, x_d * b - qi * a
+            b = x * a - qi * b - (x_d + 2 * qi) * a_prev
+        else:
+            a, b = b, x * b - a
+    return a
+
+
+def charpoly_p(spec: CaterpillarSpec) -> IntPolynomial:
+    """Exact det(C - lambda I); degree 2k-1, leading coefficient -1.
+
+    Each of the b zero rows of C contributes one factor lambda.
+    """
+    return -IntPolynomial((0,) * derive_params(spec).b + _pruned_det(spec.q, POLY_X).coeffs)
 
 
 def _p_scalar_suffixes(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -303,16 +297,9 @@ def pprime_minus2(spec: CaterpillarSpec) -> int:
 def shifted_pruned_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
     """p(q; mu-2) / (mu-2)^b, whose roots are the eigenvalues of the pruned C plus 2.
 
-    The division is exact: each deleted zero row of C contributes one (mu-2)
-    factor.
+    It is -det((mu-2)I - C'), the prefix recurrence run at x = mu - 2.
     """
-    b = derive_params(spec).b
-    poly = charpoly_p(spec).shift(-2)          # p(q; mu - 2)
-    for _ in range(b):
-        poly, rem = poly.divmod_linear(2)
-        if rem != 0:
-            raise InexactDivision(f"(mu-2)^{b} does not divide the shifted polynomial for {spec.q}")
-    return poly
+    return -_pruned_det(spec.q, IntPolynomial((-2, 1)))
 
 
 def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:

@@ -24,7 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import NoValidIndex, bounds_report
+from .bounds import bounds_report
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
 from .model import CaterpillarSpec, derive_params, fmt4, q_label, validate_spec
 from .oracle import NonConvergence
@@ -360,9 +360,6 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONV
-    except NoValidIndex as exc:
-        print(f"no valid deletion index for the trace upper bound: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 def entry() -> None:

@@ -91,15 +91,16 @@ def _jacobi_cs(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray,
                hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosines and sines of the inner rotations (|theta| <= pi/4) that zero a[p, q].
 
-    Pairs outside `hit` get the identity, c = 1 and s = 0 exactly.
+    Pairs outside `hit` get the identity, c = 1 and s = 0 exactly.  tau * tau
+    cannot overflow from `sym_eigs`: a pair is rotated only when |a[p, q]| >
+    1e-12 ||M||_F / (2n), and |a[q, q] - a[p, p]| <= sqrt(2) ||M||_F, so
+    |tau| <= sqrt(2) n 1e12, below 3.7e14 for n <= MAX_DENSE_ORDER = 256.
     """
     import numpy as np
 
     tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(len(apq)), where=hit)
     at = np.abs(tau)
-    big = at > 1e150        # there t = 1/(2 tau) to working precision, and tau * tau overflows
-    root = np.where(big, at, np.sqrt(1.0 + np.where(big, 0.0, at) ** 2))
-    t = np.copysign(hit / (at + root), tau)
+    t = np.copysign(hit / (at + np.sqrt(1.0 + at * at)), tau)
     c = 1.0 / np.hypot(1.0, t)
     return c, t * c
 
@@ -133,7 +134,7 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
                             f"above the cap of {MAX_DENSE_ORDER}")
     if n == 0:
         return EigenResult(np.zeros(0), np.zeros((0, 0)), 0, 0.0)
-    if not np.allclose(m, m.T, atol=1e-8 * (1.0 + np.abs(m).max())):
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(m).max())):
         raise ValueError("matrix is not symmetric")
 
     move = _round_robin(n)

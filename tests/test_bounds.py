@@ -172,8 +172,8 @@ def test_bounds_trace_path(path_spec):
 @settings(max_examples=60)
 @given(specs(min_k=2, max_k=12, max_q=10**6))
 def test_trace_differences_are_positive(spec):
-    # interlacing makes every deletion index usable, so bounds_trace never
-    # reaches NoValidIndex on a real spec
+    # Cauchy interlacing puts every difference at or above 1/(lambda_max + 2),
+    # so bounds_trace takes the reciprocal of each one unguarded
     ti = trace_inv(spec)
     for i in range(1, spec.k):
         assert ti - trace_inv_deleted(spec, i) > 0

@@ -16,7 +16,6 @@ from catspectra.charpoly import (
     IndexOutOfRange,
     IntPolynomial,
     OrderTooLarge,
-    POLY_ONE,
     POLY_X,
     _p_scalar_suffixes,
     as_multiset,
@@ -27,6 +26,7 @@ from catspectra.charpoly import (
     p_minus2,
     pprime_minus2,
     prune_zero,
+    shifted_pruned_charpoly,
 )
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, sym_eigs
@@ -47,30 +47,23 @@ def test_poly_normalisation_and_degree():
     assert p.coeffs == (1, 2)
     assert p.degree == 1
     assert IntPolynomial((0, 0)).is_zero()
-    assert POLY_X.degree == 1 and POLY_ONE.degree == 0
+    assert POLY_X.degree == 1 and IntPolynomial((1,)).degree == 0
 
 
 def test_poly_arithmetic_examples():
     x = POLY_X
-    assert ((x + POLY_ONE) * (x - POLY_ONE)).coeffs == (-1, 0, 1)
+    assert ((x + 1) * (x - 1)).coeffs == (-1, 0, 1)
     assert (3 * x).coeffs == (0, 3)
     assert (x * x * x).deriv().coeffs == (0, 0, 3)
-    assert IntPolynomial((2, 0, 1)).shift(1).coeffs == (3, 2, 1)  # (x+1)^2 + 2
+    assert (x * x + 2).coeffs == (2, 0, 1)
+    assert (x - 3).coeffs == (-3, 1)
+    assert (x - x + 1 - 1).is_zero()
 
 
 def test_poly_eval_accepts_arrays():
     p = IntPolynomial((-1, 0, 1))  # x^2 - 1
     out = p(np.array([0.0, 1.0, 3.0]))
     assert np.array_equal(out, np.array([-1.0, 0.0, 8.0]))
-
-
-def test_divmod_linear_example():
-    p = IntPolynomial((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
-    q, rem = p.divmod_linear(2)
-    assert rem == 0
-    assert q.coeffs == (3, -4, 1)
-    q, rem = p.divmod_linear(4)
-    assert rem == p(4) == 6
 
 
 big_int_polys = st.lists(st.integers(min_value=-10**30, max_value=10**30),
@@ -90,27 +83,15 @@ def test_sign_at_matches_fraction_horner(p, x):
     assert p.sign_at(x) == (val > 0) - (val < 0)
 
 
-@given(int_polys, int_polys, st.integers(min_value=-5, max_value=5))
+@given(int_polys, int_polys, st.integers(min_value=-50, max_value=50),
+       st.integers(min_value=-5, max_value=5))
 @settings(max_examples=50)
-def test_poly_ring_identities(p, q, x):
+def test_poly_ring_identities(p, q, c, x):
     assert (p + q)(x) == p(x) + q(x)
     assert (p * q)(x) == p(x) * q(x)
     assert (p - q)(x) == p(x) - q(x)
-
-
-@given(int_polys, st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
-@settings(max_examples=50)
-def test_poly_shift_matches_eval(p, h, x):
-    assert p.shift(h)(x) == p(x + h)
-
-
-@given(int_polys, st.integers(min_value=-6, max_value=6))
-@settings(max_examples=50)
-def test_divmod_linear_reconstructs(p, r):
-    q, rem = p.divmod_linear(r)
-    lin = IntPolynomial((-r, 1))
-    assert (q * lin + IntPolynomial((rem,))).coeffs == p.coeffs
-    assert rem == p(r)
+    assert (p + c)(x) == p(x) + c
+    assert (p - c)(x) == p(x) - c
 
 
 # -- the quotient matrix ----------------------------------------------------
@@ -249,10 +230,14 @@ def test_laplacian_charpoly_matches_tree_determinant(spec):
 @given(specs(max_q=4).filter(lambda s: 0 in s.q))
 @settings(max_examples=25)
 def test_zero_leg_division_is_exact(spec):
-    # every q_i = 0 contributes one exact (mu - 2) factor; assembling the
-    # polynomial would raise InexactDivision if that ever failed
-    poly = laplacian_charpoly(spec)
-    assert poly.degree == derive_params(spec).n
+    # every q_i = 0 contributes one factor lambda to p, and what is left is
+    # the pruned C's polynomial: checked against Bareiss on the pruned C
+    b = derive_params(spec).b
+    assert charpoly_p(spec).coeffs[:b] == (0,) * b
+    poly = shifted_pruned_charpoly(spec)
+    pruned = deradicalize(prune_zero(build_C(spec)))
+    for mu in range(-1, 2 * spec.k + 1):
+        assert poly(mu) == (-1) ** b * exact_det(pruned, mu - 2)
 
 
 # -- spectra ----------------------------------------------------------------

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from catspectra import cli, verify
-from catspectra.bounds import NoValidIndex
 from catspectra.model import validate_spec
 from catspectra.oracle import NonConvergence
 
@@ -199,17 +198,6 @@ def test_usage_errors_exit_1(capsys):
 def test_verify_options_are_rejected_elsewhere(capsys):
     assert cli.main(["bounds", "--q", "4,9,0,1", "--seed", "3"]) == 1
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
-
-
-def test_no_valid_index_exits_2(monkeypatch, capsys):
-    def degenerate(spec):
-        raise NoValidIndex("synthetic")
-
-    monkeypatch.setattr(cli, "bounds_report", degenerate)
-    assert cli.main(["bounds", "--q", "1,1"]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert cap.err == "no valid deletion index for the trace upper bound: synthetic\n"
 
 
 def test_nonconvergence_exits_3(monkeypatch, capsys):

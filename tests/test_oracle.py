@@ -71,6 +71,12 @@ def test_sym_eigs_empty_and_errors():
         sym_eigs(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the symmetry test is absolute only: a relative tolerance on entries of
+    # size 40 would accept, and silently symmetrize, both of these
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigs(np.array([[40.0, 1.0], [1.000009, 40.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigs(np.array([[40.0, 40.0], [40.0004, 40.0]]))
 
 
 @given(symmetric_matrices())
@@ -133,16 +139,11 @@ def test_sym_eigs_matches_eigvalsh_on_random_symmetric_matrices(n, seed):
 
 
 def test_jacobi_rotation_past_the_tau_guard():
-    # app = 0, aqq = 1, apq = 1e-160: tau = 5e159, where tau * tau overflows
-    app, aqq, apq = np.array([0.0]), np.array([1.0]), np.array([1e-160])
+    # tau would be 5e159 here, where tau * tau overflows; sym_eigs never
+    # rotates such a pair, since the coupling sits below the rotation threshold
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        c, s = oracle._jacobi_cs(app, aqq, apq, np.array([True]))
         res = sym_eigs(np.array([[0.0, 1e-160], [1e-160, 1.0]]))
-    assert c[0] == 1.0 and s[0] == 1.0 / (2.0 * 5e159)
-    # the rotated off-diagonal entry (c^2 - s^2) apq + c s (app - aqq) vanishes
-    assert abs((c[0] ** 2 - s[0] ** 2) * apq[0] + c[0] * s[0] * (app[0] - aqq[0])) <= 1e-176
-    # in sym_eigs that coupling sits below the rotation threshold: no sweep is needed
     assert list(res.values) == [0.0, 1.0] and res.sweeps == 0
 
 
