@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from .bounds import bounds_report
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
@@ -224,9 +225,26 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _vacuous_verify_flag(args) -> str | None:
+    """Why the verify flags would run no comparison or no spec, or None if they are usable."""
+    if args.random is not None and args.random < 1:
+        return f"--random needs at least 1 spec, got {args.random}"
+    if args.kmax < 1:
+        return f"--kmax needs a spine of at least 1 vertex, got {args.kmax}"
+    if args.qmax < 0:
+        return f"--qmax needs a nonnegative leg count, got {args.qmax}"
+    if not (isfinite(args.tol) and args.tol > 0):
+        return f"--tol needs a finite tolerance above 0, got {args.tol}"
+    return None
+
+
 def cmd_verify(args) -> int:
     from . import verify
 
+    problem = _vacuous_verify_flag(args)
+    if problem:
+        print(f"verify {problem}", file=sys.stderr)
+        return EXIT_USAGE
     if args.q is not None:
         specs = [parse_q(args.q)]
     elif args.random is not None:

@@ -6,10 +6,13 @@ Four kinds of oracle live here:
   Jacobs and Trevisan's tree diagonalization in its Laplacian form (Braga,
   Rodrigues and Trevisan, Discrete Math. 313, 2013), and the algebraic
   connectivity `mu_oracle` located by bisecting that count;
-* a dense symmetric eigensolver (`sym_eigs`), cyclic Jacobi in the
-  round-robin ordering of Brent and Luk (1985), each round of disjoint
-  rotations applied at once (Luk and Park 1989 show the ordering equivalent
-  to the row-cyclic one), the cross-check of the count;
+* a dense symmetric eigensolver (`sym_eigs_stack`, and `sym_eigs` for one
+  matrix), cyclic Jacobi in the round-robin ordering of Brent and Luk
+  (1985), each round of disjoint rotations applied at once (Luk and Park
+  1989 show the ordering equivalent to the row-cyclic one), the
+  cross-check of the count.  A list of matrices is solved as one stack:
+  each is zero-padded to the largest order, all share every round, and
+  each stops on its own tolerance;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
@@ -20,7 +23,7 @@ Four kinds of oracle live here:
 
 None of this uses the recurrences under test, and nothing here calls
 numpy's eigensolver; numpy is array plumbing only, imported by the dense
-functions (`sym_eigs`) alone, so the count, `mu_oracle`, the exact
+functions (`sym_eigs_stack`) alone, so the count, `mu_oracle`, the exact
 determinants and `min_root` run without it.
 """
 
@@ -59,15 +62,6 @@ class EigenResult:
     residual: float         # max_i ||M v_i - lambda_i v_i||_inf
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    import numpy as np
-
-    # computed entrywise, not as ||A||^2 - ||diag||^2, which cancels catastrophically
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
 def _round_robin(n: int) -> np.ndarray:
     """The round-robin schedule of one Jacobi sweep on order n, as one permutation.
 
@@ -91,22 +85,39 @@ def _jacobi_cs(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray,
                hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosines and sines of the inner rotations (|theta| <= pi/4) that zero a[p, q].
 
-    Pairs outside `hit` get the identity, c = 1 and s = 0 exactly.  tau * tau
-    cannot overflow from `sym_eigs`: a pair is rotated only when |a[p, q]| >
-    1e-12 ||M||_F / (2n), and |a[q, q] - a[p, p]| <= sqrt(2) ||M||_F, so
-    |tau| <= sqrt(2) n 1e12, below 3.7e14 for n <= MAX_DENSE_ORDER = 256.
+    Elementwise over arrays of any one shape.  Pairs outside `hit` get the
+    identity, c = 1 and s = 0 exactly.  tau * tau cannot overflow from
+    `sym_eigs_stack`: a pair is rotated only when |a[p, q]| > 1e-12 ||M||_F /
+    (2n), and |a[q, q] - a[p, p]| <= sqrt(2) ||M||_F, so |tau| <= sqrt(2) n
+    1e12, below 3.7e14 for n <= MAX_DENSE_ORDER = 256.
     """
     import numpy as np
 
-    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(len(apq)), where=hit)
+    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(apq.shape), where=hit)
     at = np.abs(tau)
     t = np.copysign(hit / (at + np.sqrt(1.0 + at * at)), tau)
     c = 1.0 / np.hypot(1.0, t)
     return c, t * c
 
 
-def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
-    """All eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
+def _checked(m) -> np.ndarray:
+    """m as a float array, or ValueError / OrderTooLarge if no dense solve should start."""
+    import numpy as np
+
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0] if m.ndim else 0
+    if m.shape != (n, n):
+        raise ValueError("matrix is not square")
+    if n > MAX_DENSE_ORDER:
+        raise OrderTooLarge(f"the dense eigensolve has order {n}, "
+                            f"above the cap of {MAX_DENSE_ORDER}")
+    if n and not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(m).max())):
+        raise ValueError("matrix is not symmetric")
+    return m
+
+
+def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
+    """Eigenvalues and eigenvectors of each symmetric matrix in a list, by cyclic Jacobi.
 
     The pivot pairs follow the round-robin ordering of Brent and Luk (SIAM J.
     Sci. Stat. Comput. 6, 1985): a sweep is n - 1 rounds (n for odd n) of
@@ -117,67 +128,98 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     current round's pair order, so J is block diagonal with 2 x 2 blocks.
     Luk and Park (SIAM J. Sci. Stat. Comput. 10, 1989) show this ordering
     equivalent to the row-cyclic one, so with inner rotations (|theta| <=
-    pi/4) it converges.  Pairs with |a[p, q]| <= tol / (2n) are not rotated.
-    Stop: off-diagonal Frobenius norm below tol = 1e-12 * ||M||_F, checked
-    before each sweep, cap max_sweeps sweeps (NonConvergence beyond it).
-    Matrices of order above MAX_DENSE_ORDER raise OrderTooLarge before any
-    work: a sweep costs O(n^3), so the solve would run for minutes to hours.
+    pi/4) it converges.
+
+    The whole list shares the rounds: each matrix is zero-padded to the
+    largest order (made even) and the 2 x 2 blocks of every member form one
+    batch of products, so a round costs a fixed number of numpy calls however
+    many matrices it carries.  A padding row couples to nothing, so it is
+    never rotated, and after a full sweep it is back in place, as the odd
+    order's phantom row is.  Each member keeps its own tol = 1e-12 ||M||_F,
+    its own threshold (pairs with |a[p, q]| <= tol / (2n) are not rotated)
+    and its own sweep count: the off-diagonal Frobenius norm is checked
+    before each sweep, and a member whose norm is below its tol is frozen,
+    rotated no more.  A member still above its tol after max_sweeps sweeps
+    raises NonConvergence.  Every member is validated before any work:
+    non-square or asymmetric ones raise ValueError, orders above
+    MAX_DENSE_ORDER raise OrderTooLarge (a sweep costs O(n^3), so the solve
+    would run for minutes to hours).
     """
     import numpy as np
 
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix is not square")
-    if n > MAX_DENSE_ORDER:
-        raise OrderTooLarge(f"the dense eigensolve has order {n}, "
-                            f"above the cap of {MAX_DENSE_ORDER}")
-    if n == 0:
-        return EigenResult(np.zeros(0), np.zeros((0, 0)), 0, 0.0)
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(m).max())):
-        raise ValueError("matrix is not symmetric")
+    mats = [_checked(m) for m in mats]
+    orders = [len(m) for m in mats]
+    out = [EigenResult(np.zeros(0), np.zeros((0, 0)), 0, 0.0) for _ in mats]
+    live = [b for b, n in enumerate(orders) if n]      # the members of order 0 are done
+    if not live:
+        return out
 
-    move = _round_robin(n)
-    size = len(move)            # n, plus a phantom row and column of zeros for odd n
+    nb = len(live)
+    move = _round_robin(max(orders))
+    size = len(move)            # the largest order, made even; members below it are zero-padded
     half, stride = size // 2, 2 * size + 2      # stride: flat step from pair (p, q) to the next
-    both = np.ix_(move, move)
-    blocks = np.empty((half, 4))
-    g = blocks.reshape(half, 2, 2)     # the 2 x 2 diagonal blocks of J^T, one per pair
-    a = np.zeros((size, size))
-    a[:n, :n] = (m + m.T) / 2.0
-    w = np.eye(size)            # v^T: row i pairs with a[i, i]
-    tol = 1e-12 * max(np.linalg.norm(a), 1e-300)
-    skip = tol / (2.0 * n)      # rotations below this cannot keep the norm above tol
-    sweeps = 0
-    while _offdiag_norm(a) > tol:
-        if sweeps >= max_sweeps:
-            raise NonConvergence(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} after {sweeps} sweeps (tol {tol:.3e})"
-            )
+    both = (move[:, None] * size + move).reshape(-1)   # a[move][:, move], as one flat gather
+    blocks = np.empty((nb, half, 4))
+    g = blocks.reshape(nb * half, 2, 2)     # the 2 x 2 diagonal blocks of each J^T, one per pair
+    a = np.zeros((nb, size, size))
+    for j, b in enumerate(live):
+        n = orders[b]
+        a[j, :n, :n] = (mats[b] + mats[b].T) / 2.0
+    w = np.broadcast_to(np.eye(size), a.shape).copy()      # v^T: row i pairs with a[i, i]
+    tol = 1e-12 * np.maximum(np.linalg.norm(a.reshape(nb, -1), axis=1), 1e-300)
+    # rotations below a member's skip cannot keep its norm above its tol
+    skip = tol / (2.0 * np.array([orders[b] for b in live]))
+    sweeps = np.zeros(nb, dtype=int)
+    off = np.empty((nb, size, size))
+    diag = np.arange(size)
+    while True:
+        np.copyto(off, a)
+        off[:, diag, diag] = 0.0        # entrywise, not ||A||^2 - ||diag||^2, which cancels
+        norms = np.linalg.norm(off.reshape(nb, -1), axis=1)
+        active = norms > tol
+        if not active.any():
+            break
+        late = active & (sweeps >= max_sweeps)
+        if late.any():
+            j = int(np.argmax(late))
+            where = f" in matrix {live[j]} of the stack" if len(mats) > 1 else ""
+            raise NonConvergence(f"off-diagonal norm {norms[j]:.3e} after {sweeps[j]} sweeps "
+                                 f"(tol {tol[j]:.3e}){where}")
+        skip[~active] = np.inf          # frozen: no pair of a converged member is rotated again
         for _ in range(size - 1):
-            flat = a.reshape(-1)
-            apq = flat[1::stride]
-            hit = np.abs(apq) > skip
+            flat = a.reshape(nb, -1)
+            apq = flat[:, 1::stride]
+            hit = np.abs(apq) > skip[:, None]
             if hit.any():
-                c, s = _jacobi_cs(flat[0::stride], flat[size + 1::stride], apq, hit)
-                blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3] = c, -s, s, c
-                a = (g @ a.reshape(half, 2, size)).reshape(size, size).T      # (J^T a)^T = a J
-                a = (g @ a.reshape(half, 2, size)).reshape(size, size)        # J^T a J
-                w = (g @ w.reshape(half, 2, size)).reshape(size, size)
-                flat = a.reshape(-1)
-                flat[1::stride][hit] = 0.0
-                flat[size::stride][hit] = 0.0
-            a, w = a[both], w[move]
-        sweeps += 1
+                c, s = _jacobi_cs(flat[:, 0::stride], flat[:, size + 1::stride], apq, hit)
+                blocks[..., 0], blocks[..., 1], blocks[..., 2], blocks[..., 3] = c, -s, s, c
+                a = (g @ a.reshape(nb * half, 2, size)).reshape(nb, size, size).transpose(0, 2, 1)
+                a = (g @ a.reshape(nb * half, 2, size)).reshape(nb, size, size)     # J^T a J
+                w = (g @ w.reshape(nb * half, 2, size)).reshape(nb, size, size)
+                flat = a.reshape(nb, -1)
+                flat[:, 1::stride][hit] = 0.0
+                flat[:, size::stride][hit] = 0.0
+            a = a.reshape(nb, -1).take(both, axis=1).reshape(nb, size, size)
+            w = w.take(move, axis=1)
+        sweeps += active
 
-    # a full sweep brings the order back to round 0's, the identity; drop the phantom
-    a, v = a[:n, :n], w[:n, :n].T
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    residual = float(np.abs(m @ vecs - vecs * vals).max()) if n else 0.0
-    return EigenResult(vals, vecs, sweeps, residual)
+    # a full sweep brings the order back to round 0's, the identity; drop the padding
+    for j, b in enumerate(live):
+        m, n = mats[b], orders[b]
+        vals = a[j].diagonal()[:n]
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], w[j, :n, :n].T[:, order]
+        residual = float(np.abs(m @ vecs - vecs * vals).max())
+        out[b] = EigenResult(vals, vecs, int(sweeps[j]), residual)
+    return out
+
+
+def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
+    """All eigenvalues and eigenvectors of one symmetric matrix: a stack of one.
+
+    See `sym_eigs_stack` for the method, the stopping rule and the errors.
+    """
+    return sym_eigs_stack([m], max_sweeps)[0]
 
 
 def _inertia(spec: CaterpillarSpec, x) -> tuple[int, int]:

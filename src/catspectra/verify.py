@@ -4,8 +4,15 @@ Each check in INVARIANT_CHECKS returns None or a one-line failure message
 from comparing a production route with an independent oracle.  The layers
 are called as module attributes (`oracle.sym_eigs`), so a wrapper installed
 on a module's attribute, such as perfbench's span tracer, sees these calls.
-The dense eigenvalues of C and of each C(i) are solved once and shared by
-the checks (`_c_eigs`); `cli.run_verify` empties that cache when a run ends.
+
+The dense solves come in stacks (`oracle.sym_eigs_stack`), which share each
+Jacobi round among their members: per spec, C with all its deletions C(i)
+in one call, solved once per run and shared by the checks (`_c_eigs`;
+`cli.run_verify` empties that cache when a run ends), and the k - 1
+leg-pair blocks of the Cardano check in another.  The tree Laplacian and
+the pruned C of `charpoly.laplacian_spectrum` are single solves, since
+padding the small matrices to the Laplacian's order would cost more than
+the rounds it saves.
 
 compare_reference holds the oracle-confirmed published values (mu, lb_trace,
 ub_trace) as hard assertions; the pair-bound column is report-only because
@@ -23,7 +30,6 @@ import numpy as np
 
 from . import bounds, charpoly, graphs, model, oracle
 from .charpoly import IndexOutOfRange, StructuredC
-from .graphs import MAX_DENSE_ORDER
 from .model import CaterpillarSpec, fmt4
 
 # Published values.  ub_trace_index marks a ub_trace printed for one specific
@@ -95,23 +101,28 @@ def deleted_C(spec: CaterpillarSpec, i: int) -> StructuredC:
     )
 
 
-def _eig(mat) -> np.ndarray:
-    return oracle.sym_eigs(np.asarray(mat, dtype=float)).values
+@lru_cache(maxsize=None)
+def _c_eigs(spec: CaterpillarSpec) -> tuple[np.ndarray, ...]:
+    """Descending dense eigenvalues of C and of each C(i), i = 1..k-1, in that order.
 
-
-# A spec the dense cap accepts has k <= MAX_DENSE_ORDER, so C and all its C(i) fit.
-@lru_cache(maxsize=MAX_DENSE_ORDER)
-def _c_eigs(spec: CaterpillarSpec, i: int) -> np.ndarray:
-    """Descending dense eigenvalues of C (i = 0) or of C(i), read-only and shared by the checks."""
-    c = charpoly.build_C(spec) if i == 0 else deleted_C(spec, i)
-    vals = _eig(c.to_dense())[::-1]
-    vals.flags.writeable = False
-    return vals
+    One stacked solve per spec, read-only and shared by the checks.  The cache
+    holds a whole run, so a batch run solves each family once whatever the
+    check order; `cli.run_verify` empties it when the run ends.  It keeps
+    eigenvalues only, 2k^2 - 2k + 1 doubles over k arrays: at k = 8 that is
+    904 bytes of values, about 2.8 KB per spec with the array objects.
+    """
+    family = [charpoly.build_C(spec)] + [deleted_C(spec, i) for i in range(1, spec.k)]
+    out = []
+    for res in oracle.sym_eigs_stack([c.to_dense() for c in family]):
+        vals = res.values[::-1]
+        vals.flags.writeable = False
+        out.append(vals)
+    return tuple(out)
 
 
 def _dense_trace_inv(spec: CaterpillarSpec, i: int) -> float:
     """tr((2I + C)^-1) of C (i = 0) or C(i), summed over its dense eigenvalues."""
-    return float(np.sum(1.0 / (_c_eigs(spec, i) + 2.0)))
+    return float(np.sum(1.0 / (_c_eigs(spec)[i] + 2.0)))
 
 
 def _ck_charpoly_vs_det(spec, tol):
@@ -149,7 +160,7 @@ def _ck_laplacian_charpoly(spec, tol):
 def _ck_spectrum_shift(spec, tol):
     pairs = charpoly.laplacian_spectrum(spec)
     vals = np.sort(np.concatenate([[v] * m for v, m in pairs]))
-    dense = _eig(graphs.matrices(graphs.build_caterpillar(spec))["L"])
+    dense = oracle.sym_eigs(graphs.matrices(graphs.build_caterpillar(spec))["L"]).values
     if len(vals) != len(dense) or not np.allclose(vals, dense, rtol=0.0, atol=tol):
         return "assembled Laplacian spectrum disagrees with the dense eigensolve"
     if spec.k >= 2:     # mu from the exact count against Jacobi
@@ -175,9 +186,8 @@ def _ck_trace_deleted(spec, tol):
 
 
 def _ck_interlacing(spec, tol):
-    full = _c_eigs(spec, 0)
-    for i in range(1, spec.k):
-        sub = _c_eigs(spec, i)
+    full, *deleted = _c_eigs(spec)
+    for i, sub in enumerate(deleted, 1):
         for m in range(len(sub)):
             if not (full[m + 1] - tol <= sub[m] <= full[m] + tol):
                 return f"interlacing fails at i={i}, position {m + 1}"
@@ -185,11 +195,12 @@ def _ck_interlacing(spec, tol):
 
 
 def _ck_cardano_pairs(spec, tol):
-    for j in range(1, spec.k):
-        q1, q2 = spec.q[j - 1], spec.q[j]
+    pairs = list(zip(spec.q, spec.q[1:]))
+    solved = oracle.sym_eigs_stack(
+        [charpoly.build_C(model.validate_spec(pair)).to_dense() for pair in pairs])
+    for (q1, q2), res in zip(pairs, solved):
         got = sorted(bounds.cardano_roots(q1, q2).zetas)
-        dense = _eig(charpoly.build_C(model.validate_spec((q1, q2))).to_dense())
-        if not np.allclose(got, dense, rtol=0.0, atol=max(tol, 1e-9)):
+        if not np.allclose(got, res.values, rtol=0.0, atol=max(tol, 1e-9)):
             return f"cardano_roots({q1},{q2}) disagrees with the dense eigensolve"
     return None
 

@@ -233,6 +233,21 @@ def test_cmd_verify_random(capsys):
     assert "all invariants passed on 3 spec(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--random", "0"], "--random"),                    # passed "on 0 spec(s)"
+    (["--random", "-3"], "--random"),
+    (["--q", "4,9,0,1", "--tol", "inf"], "--tol"),     # every comparison passed
+    (["--q", "4,9,0,1", "--tol", "nan"], "--tol"),     # some checks compared nothing
+    (["--random", "5", "--kmax", "0"], "--kmax"),       # empty range for randrange()
+    (["--random", "5", "--qmax", "-1"], "--qmax"),
+], ids=["random-0", "random-negative", "tol-inf", "tol-nan", "kmax-0", "qmax-negative"])
+def test_cmd_verify_refuses_flags_that_make_it_vacuous(capsys, argv, flag):
+    assert cli.main(["verify"] + argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""                # no check ran
+    assert cap.err.startswith(f"verify {flag} needs")
+
+
 def test_cmd_table_clean_rows(tmp_path, capsys):
     path = tmp_path / "specs.txt"
     path.write_text("# published rows that reproduce\n(2,0,3,4,7)\n5,0,5,0,5,0,5,0,5\n\nbogus\n7\n")

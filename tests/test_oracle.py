@@ -56,6 +56,11 @@ def test_sym_eigs_diagonal_is_exact():
     res = sym_eigs(np.diag([3.0, -1.0, 2.0]))
     assert list(res.values) == [-1.0, 2.0, 3.0]
     assert res.sweeps == 0
+    # in a stack of dense matrices too: a converged member is rotated no more
+    dense, diag = oracle.sym_eigs_stack([_random_symmetric(9, 5), np.diag([3.0, -1.0, 2.0, 0.5])])
+    assert list(diag.values) == [-1.0, 0.5, 2.0, 3.0] and diag.sweeps == 0
+    assert np.array_equal(np.abs(diag.vectors), np.eye(4)[:, [1, 3, 2, 0]])
+    assert dense.sweeps > 0
 
 
 def test_sym_eigs_path_laplacian(path_spec):
@@ -67,6 +72,10 @@ def test_sym_eigs_path_laplacian(path_spec):
 
 def test_sym_eigs_empty_and_errors():
     assert sym_eigs(np.zeros((0, 0))).values.shape == (0,)
+    assert oracle.sym_eigs_stack([]) == []
+    empty, one = oracle.sym_eigs_stack([np.zeros((0, 0)), np.array([[4.0]])])
+    assert empty.values.shape == (0,) and empty.vectors.shape == (0, 0) and empty.sweeps == 0
+    assert list(one.values) == [4.0]
     with pytest.raises(ValueError):
         sym_eigs(np.zeros((2, 3)))
     with pytest.raises(ValueError):
@@ -111,6 +120,11 @@ def _tree_laplacian(q):
     return matrices(build_caterpillar(validate_spec(q)))["L"]
 
 
+def _random_symmetric(n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, n))
+    return x + x.T
+
+
 @pytest.mark.parametrize("m", [
     np.array([[2.5]]),
     np.array([[1.0, 2.0], [2.0, -3.0]]),
@@ -132,8 +146,7 @@ def test_sym_eigs_matches_eigvalsh(m):
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30)
 def test_sym_eigs_matches_eigvalsh_on_random_symmetric_matrices(n, seed):
-    x = np.random.default_rng(seed).normal(size=(n, n))
-    m = x + x.T
+    m = _random_symmetric(n, seed)
     want = np.linalg.eigvalsh(m)
     assert np.abs(sym_eigs(m).values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -159,6 +172,8 @@ def test_sym_eigs_raises_nonconvergence_at_the_sweep_cap():
     assert sym_eigs(m).sweeps > 1
     with pytest.raises(NonConvergence, match="after 1 sweeps"):
         sym_eigs(m, max_sweeps=1)
+    with pytest.raises(NonConvergence, match=r"after 1 sweeps .* in matrix 1 of the stack"):
+        oracle.sym_eigs_stack([np.diag([1.0, 2.0]), m], max_sweeps=1)
 
 
 def test_sym_eigs_refuses_orders_above_the_cap():
@@ -172,6 +187,48 @@ def test_sym_eigs_desk_scale_runs():
     res = sym_eigs(lap)
     assert res.values.shape == (110,)
     assert abs(res.values[0]) <= 1e-9
+
+
+_MIXED_STACK = [
+    np.array([[2.5]]),
+    np.array([[1.0, 2.0], [2.0, -3.0]]),
+    _random_symmetric(5, 1),
+    _random_symmetric(12, 2),
+    _tree_laplacian((6, 6, 6, 6, 6)),       # n = 35, eigenvalue 1 of multiplicity 25
+    _random_symmetric(40, 3),
+    _tree_laplacian((5, 5, 5, 5)),          # n = 24
+    _tree_laplacian((3, 0, 0, 2, 0, 7)),    # n = 18
+    _tree_laplacian((39,)),                 # the star K_{1,39}, n = 40
+    _random_symmetric(27, 4),
+]
+
+
+def test_sym_eigs_stack_solves_each_member_of_a_mixed_stack():
+    results = oracle.sym_eigs_stack(_MIXED_STACK)
+    assert len(results) == len(_MIXED_STACK)
+    for m, res in zip(_MIXED_STACK, results):
+        n = len(m)
+        want = np.linalg.eigvalsh(m)
+        assert res.values.shape == (n,) and res.vectors.shape == (n, n)
+        assert np.abs(res.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), n
+        assert np.allclose(res.vectors.T @ res.vectors, np.eye(n), rtol=0.0, atol=1e-12), n
+        # the residual is this member's own, not the stack's worst
+        assert res.residual == float(np.abs(m @ res.vectors - res.vectors * res.values).max())
+        assert res.residual <= 1e-11 * max(1.0, np.abs(m).max())
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.zeros((2, 3)), ValueError),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), ValueError),
+    (np.zeros((MAX_DENSE_ORDER + 1, MAX_DENSE_ORDER + 1)), OrderTooLarge),
+], ids=["non-square", "asymmetric", "above-the-cap"])
+def test_sym_eigs_stack_validates_every_member_before_any_work(monkeypatch, bad, error):
+    def started(n):
+        raise AssertionError("the solve started before every member was validated")
+
+    monkeypatch.setattr(oracle, "_round_robin", started)
+    with pytest.raises(error):
+        oracle.sym_eigs_stack([_random_symmetric(4, 7), bad, _random_symmetric(3, 8)])
 
 
 # -- mu oracle --------------------------------------------------------------
@@ -196,11 +253,19 @@ COUNT_POINTS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(
 @example(validate_spec((0, 0, 0, 0)))
 @example(validate_spec((5,)))
 @example(validate_spec((3, 0, 0, 2, 0)))
+@example(validate_spec((1, 4, 4, 4, 4, 4, 4)))     # an eigenvalue 2.9e-10 below 5/2
 def test_laplacian_count_matches_eigvalsh(spec):
     # x = 1 zeroes every leaf, x = 2 hits the eigenvalue of paths and of T(0,0)
-    ev = np.linalg.eigvalsh(matrices(build_caterpillar(spec))["L"])
+    lap = matrices(build_caterpillar(spec))["L"]
+    ev = np.linalg.eigvalsh(lap)
     for x in COUNT_POINTS:
-        want = (int(np.sum(ev < float(x) - 1e-9)), int(np.sum(np.abs(ev - float(x)) <= 1e-9)))
+        near = np.abs(ev - float(x)) <= 1e-9
+        # an eigenvalue within 1e-9 of x = n/d is x itself only if det(dL - nI) = 0
+        if near.any() and exact_det([[x.denominator * int(v) for v in row] for row in lap],
+                                    x.numerator):
+            want = (int(np.sum(ev < float(x))), 0)
+        else:
+            want = (int(np.sum(ev < float(x) - 1e-9)), int(np.sum(near)))
         assert laplacian_count(spec, x) == want, f"x = {x}"
 
 

@@ -1,30 +1,58 @@
 """Tests for the invariant suite in catspectra.verify: how often it calls the
 dense eigensolver, and checks that must fail when a production value is off."""
 
+import sys
 from math import inf, nextafter
 
+import numpy as np
 import pytest
 
 from catspectra import bounds, charpoly, cli, oracle, verify
+from catspectra.charpoly import build_C
 from catspectra.model import validate_spec
 
 
-def test_verify_solves_each_dense_matrix_once(monkeypatch, capsys):
+def _count_stacks(monkeypatch) -> list[tuple[str, list]]:
+    """Record each stacked dense solve as (calling function, its member matrices)."""
     calls = []
+    solve = oracle.sym_eigs_stack
 
-    def counted(m, *args, **kwargs):
-        calls.append(m.shape)
-        return solve(m, *args, **kwargs)
+    def counted(mats, *args, **kwargs):
+        mats = [np.asarray(m, dtype=float) for m in mats]
+        calls.append((sys._getframe(1).f_code.co_name, mats))
+        return solve(mats, *args, **kwargs)
 
-    solve = oracle.sym_eigs
-    monkeypatch.setattr(oracle, "sym_eigs", counted)
+    monkeypatch.setattr(oracle, "sym_eigs_stack", counted)
     verify._c_eigs.cache_clear()
+    return calls
+
+
+def test_verify_solves_each_dense_matrix_once(monkeypatch, capsys):
+    calls = _count_stacks(monkeypatch)
     assert cli.main(["verify", "--q", "4,9,1,2"]) == 0
-    # k = 4: the tree Laplacian, the pruned C in laplacian_spectrum, C, the
-    # k - 1 deletions C(i) and the k - 1 leg-pair matrices: 3 + 2(k - 1)
-    assert len(calls) == 9
+    # k = 4: the pruned C in laplacian_spectrum, the tree Laplacian, C with
+    # its k - 1 deletions C(i) in one stack and the k - 1 leg-pair matrices
+    # in another: 3 + 2(k - 1) matrices in 4 calls
+    assert [len(mats) for _, mats in calls] == [1, 1, 4, 3]
     assert verify._c_eigs.cache_info().currsize == 0    # nothing kept past the run
     assert "all invariants passed" in capsys.readouterr().out
+
+
+def test_batch_verify_solves_each_c_family_in_one_stacked_call(monkeypatch, capsys):
+    # 331 distinct specs, more than 256: a bounded cache of 256 families, or
+    # of 256 single matrices, would evict a family before its last check in
+    # the check-major run (300 specs of this seed give exactly 256 distinct)
+    calls = _count_stacks(monkeypatch)
+    assert cli.main(["verify", "--random", "400", "--kmax", "8", "--qmax", "6",
+                     "--seed", "7"]) == 0
+    assert "all invariants passed on 400 spec(s)" in capsys.readouterr().out
+    families = [tuple(m.tobytes() for m in mats) for caller, mats in calls if caller == "_c_eigs"]
+    specs = set(verify.random_specs(400, 8, 6, 7))
+    assert len(families) == len(specs)
+    for spec in specs:
+        family = [build_C(spec)] + [verify.deleted_C(spec, i) for i in range(1, spec.k)]
+        assert tuple(np.asarray(c.to_dense(), dtype=float).tobytes() for c in family) in families
+    assert verify._c_eigs.cache_info().currsize == 0
 
 
 def _nudged(values, factor):
