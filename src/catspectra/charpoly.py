@@ -28,7 +28,9 @@ polynomial.
 The full Laplacian characteristic polynomial of the tree is assembled from
 that factor: the line-graph adjacency spectrum is {-1 with multiplicity a}
 together with the spectrum of C', and the Laplacian spectrum is that shifted
-by +2, together with the eigenvalue 0.
+by +2, together with the eigenvalue 0.  C' is never built on its own:
+`laplacian_spectrum` solves the rows and columns of the dense C whose
+`slot_q` is not 0, and `StructuredC.slot_q` is the one record of slot order.
 
 Everything in this module is arbitrary-precision integer (or Fraction)
 arithmetic; floating point only appears when a spectrum is requested.
@@ -194,21 +196,6 @@ def build_C(spec: CaterpillarSpec) -> StructuredC:
     return StructuredC(dim=dim, diag=tuple(diag), offdiag=tuple(offdiag), slot_q=tuple(slot_q))
 
 
-def prune_zero(c: StructuredC) -> StructuredC:
-    """Delete the all-zero rows and columns (the leg slots with q_i = 0)."""
-    keep = [s for s in range(c.dim) if c.slot_q[s] != 0]
-    remap = {s: t for t, s in enumerate(keep)}
-    offdiag = tuple(
-        (remap[i], remap[j], w2) for i, j, w2 in c.offdiag if i in remap and j in remap
-    )
-    return StructuredC(
-        dim=len(keep),
-        diag=tuple(c.diag[s] for s in keep),
-        offdiag=offdiag,
-        slot_q=tuple(c.slot_q[s] for s in keep),
-    )
-
-
 # ---------------------------------------------------------------------------
 # det(C - lambda I) by the prefix recurrence
 # ---------------------------------------------------------------------------
@@ -340,8 +327,9 @@ def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
     from .oracle import sym_eigs   # deferred: oracle imports this module's types
 
     d = derive_params(spec)
-    pruned = prune_zero(build_C(spec))
+    c = build_C(spec)
+    keep = [s for s, qs in enumerate(c.slot_q) if qs != 0]     # C' drops the q_i = 0 leg slots
     pairs = [(0.0, 1)] + ([(1.0, d.a)] if d.a else [])
-    if pruned.dim:
-        pairs.extend((float(v) + 2.0, 1) for v in sym_eigs(pruned.to_dense()).values)
+    if keep:
+        pairs.extend((float(v) + 2.0, 1) for v in sym_eigs(c.to_dense()[keep][:, keep]).values)
     return as_multiset(pairs)

@@ -27,6 +27,7 @@ from math import isfinite
 
 from .bounds import bounds_report
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
+from .graphs import MAX_DENSE_ORDER
 from .model import CaterpillarSpec, derive_params, fmt4, q_label, validate_spec
 from .oracle import NonConvergence
 
@@ -252,6 +253,12 @@ def cmd_verify(args) -> int:
     else:
         print("verify needs --q or --random N", file=sys.stderr)
         return EXIT_USAGE
+    for spec in specs:      # refused up front: the dense checks would stop the run midway
+        n = derive_params(spec).n
+        if n > MAX_DENSE_ORDER:
+            print(f"verify T{q_label(spec.q)}: the tree has {n} vertices, above the dense cap "
+                  f"of {MAX_DENSE_ORDER}", file=sys.stderr)
+            return EXIT_USAGE
     failures, notes = run_verify(specs, args.tol)
     for line in notes + failures:
         print(line)

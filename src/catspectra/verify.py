@@ -5,6 +5,12 @@ from comparing a production route with an independent oracle.  The layers
 are called as module attributes (`oracle.sym_eigs`), so a wrapper installed
 on a module's attribute, such as perfbench's span tracer, sees these calls.
 
+Every dense matrix the checks solve is an index view of the one dense C of
+`charpoly.build_C`: C(i) is C without the row and column of slot 2i - 1
+(0-based), and the pair block of (q_j, q_{j+1}) is C's 3 x 3 block at slot
+2j - 2.  So the deleted traces and the interlacing run on the literal row
+deletion, not on the direct sum that `bounds.trace_inv_deleted` builds.
+
 The dense solves come in stacks (`oracle.sym_eigs_stack`), which share each
 Jacobi round among their members: per spec, C with all its deletions C(i)
 in one call, solved once per run and shared by the checks (`_c_eigs`;
@@ -29,7 +35,6 @@ from math import inf, nextafter
 import numpy as np
 
 from . import bounds, charpoly, graphs, model, oracle
-from .charpoly import IndexOutOfRange, StructuredC
 from .model import CaterpillarSpec, fmt4
 
 # Published values.  ub_trace_index marks a ub_trace printed for one specific
@@ -86,34 +91,21 @@ def random_specs(count: int, kmax: int, qmax: int, seed: int) -> list[Caterpilla
             for _ in range(count)]
 
 
-def deleted_C(spec: CaterpillarSpec, i: int) -> StructuredC:
-    """Delete the 2i-th row and column of C: the direct sum C(q_1..q_i) + C(q_{i+1}..q_k)."""
-    if not 1 <= i <= spec.k - 1:
-        raise IndexOutOfRange(f"deletion index {i} outside 1..{spec.k - 1}")
-    left = charpoly.build_C(model.validate_spec(spec.q[:i]))
-    right = charpoly.build_C(model.validate_spec(spec.q[i:]))
-    off = left.dim
-    return StructuredC(
-        dim=left.dim + right.dim,
-        diag=left.diag + right.diag,
-        offdiag=left.offdiag + tuple((a + off, b + off, w2) for a, b, w2 in right.offdiag),
-        slot_q=left.slot_q + right.slot_q,
-    )
-
-
 @lru_cache(maxsize=None)
 def _c_eigs(spec: CaterpillarSpec) -> tuple[np.ndarray, ...]:
     """Descending dense eigenvalues of C and of each C(i), i = 1..k-1, in that order.
 
-    One stacked solve per spec, read-only and shared by the checks.  The cache
+    C(i) is the dense C with the row and column of slot 2i - 1 deleted.  One
+    stacked solve per spec, read-only and shared by the checks.  The cache
     holds a whole run, so a batch run solves each family once whatever the
     check order; `cli.run_verify` empties it when the run ends.  It keeps
     eigenvalues only, 2k^2 - 2k + 1 doubles over k arrays: at k = 8 that is
     904 bytes of values, about 2.8 KB per spec with the array objects.
     """
-    family = [charpoly.build_C(spec)] + [deleted_C(spec, i) for i in range(1, spec.k)]
+    c = charpoly.build_C(spec).to_dense()
+    family = [c] + [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)]
     out = []
-    for res in oracle.sym_eigs_stack([c.to_dense() for c in family]):
+    for res in oracle.sym_eigs_stack(family):
         vals = res.values[::-1]
         vals.flags.writeable = False
         out.append(vals)
@@ -195,10 +187,9 @@ def _ck_interlacing(spec, tol):
 
 
 def _ck_cardano_pairs(spec, tol):
-    pairs = list(zip(spec.q, spec.q[1:]))
-    solved = oracle.sym_eigs_stack(
-        [charpoly.build_C(model.validate_spec(pair)).to_dense() for pair in pairs])
-    for (q1, q2), res in zip(pairs, solved):
+    c = charpoly.build_C(spec).to_dense()
+    solved = oracle.sym_eigs_stack([c[s:s + 3, s:s + 3] for s in range(0, 2 * spec.k - 2, 2)])
+    for q1, q2, res in zip(spec.q, spec.q[1:], solved):
         got = sorted(bounds.cardano_roots(q1, q2).zetas)
         if not np.allclose(got, res.values, rtol=0.0, atol=max(tol, 1e-9)):
             return f"cardano_roots({q1},{q2}) disagrees with the dense eigensolve"

@@ -25,13 +25,12 @@ from catspectra.charpoly import (
     laplacian_spectrum,
     p_minus2,
     pprime_minus2,
-    prune_zero,
     shifted_pruned_charpoly,
 )
 from catspectra.graphs import build_caterpillar, incidence, line_graph, matrices
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
-from catspectra.verify import deleted_C, random_specs
+from catspectra.verify import random_specs
 
 # the seed-fixed sample shared by criteria 4 and 5
 SAMPLE = random_specs(200, kmax=8, qmax=6, seed=7)
@@ -266,8 +265,11 @@ def test_criterion_5_bound_sandwich_and_interlacing():
             failures.append(f"T{q}: mu {mu:.8f} > 1")
 
         full = np.sort(_eigs("C", q))[::-1]
+        c = build_C(spec).to_dense()
         for i in range(1, spec.k):
-            sub = np.sort(sym_eigs(deleted_C(spec, i).to_dense()).values)[::-1]
+            # C(i): the row and column of spine-edge slot 2i - 1 deleted
+            c_i = np.delete(np.delete(c, 2 * i - 1, axis=0), 2 * i - 1, axis=1)
+            sub = np.sort(sym_eigs(c_i).values)[::-1]
             ok = all(
                 full[m + 1] - slack <= sub[m] <= full[m] + slack for m in range(len(sub))
             )
@@ -320,7 +322,10 @@ def test_criterion_8_zero_leg_divisibility():
         assert charpoly_p(spec).coeffs[:d.b] == (0,) * d.b, f"T{q}: lambda^{d.b} does not divide p"
         # the rest is the pruned C's polynomial, against Bareiss on the pruned C
         poly = shifted_pruned_charpoly(spec)
-        pruned = deradicalize(prune_zero(build_C(spec)))
+        # the pruned C: the integer C without the q_i = 0 leg slots
+        c = build_C(spec)
+        keep, full = [s for s, qs in enumerate(c.slot_q) if qs != 0], deradicalize(c)
+        pruned = [[full[r][s] for s in keep] for r in keep]
         for mu in range(-1, 2 * spec.k + 1):
             assert poly(mu) == (-1) ** d.b * exact_det(pruned, mu - 2), f"T{q} at mu = {mu}"
         assert laplacian_charpoly(spec).degree == d.n

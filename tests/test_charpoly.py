@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from catspectra import charpoly
 from catspectra.charpoly import (
     MAX_LAPLACIAN_ORDER,
-    IndexOutOfRange,
     IntPolynomial,
     OrderTooLarge,
     POLY_X,
@@ -25,15 +24,23 @@ from catspectra.charpoly import (
     laplacian_spectrum,
     p_minus2,
     pprime_minus2,
-    prune_zero,
     shifted_pruned_charpoly,
 )
 from catspectra.model import derive_params, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, sym_eigs
 from catspectra.graphs import build_caterpillar
-from catspectra.verify import deleted_C
 
 from conftest import eval_points, specs
+
+# leg counts with zero legs, q_i = 1 (a zero diagonal that is no zero row) and huge legs
+extreme_specs = st.lists(st.sampled_from((0, 1, 2, 3, 5, 9, 10**6, 10**9)),
+                         min_size=2, max_size=10).map(lambda q: validate_spec(tuple(q)))
+
+
+def kept_slots(spec):
+    """The slots of C that the pruned C' keeps: all but the q_i = 0 leg slots."""
+    return [s for s, qs in enumerate(build_C(spec).slot_q) if qs != 0]
+
 
 int_polys = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=1, max_size=7
@@ -121,37 +128,60 @@ def test_build_c_worked_example(worked_spec):
 
 
 def test_prune_zero_is_positional():
-    # a q_i = 1 leg slot has a zero diagonal too, but must survive pruning
-    c = prune_zero(build_C(validate_spec((1,))))
-    assert c.dim == 1 and c.slot_q == (1,)
-    # bare spine vertices lose their leg slots, joins stay
-    c = prune_zero(build_C(validate_spec((0, 0))))
-    assert c.dim == 1 and c.slot_q == (None,)
+    # T(1): the q_1 = 1 leg slot is an all-zero row of C, but it is no zero
+    # leg, so C' keeps it and the spectrum keeps its eigenvalue 0 + 2
+    spec = validate_spec((1,))
+    assert build_C(spec).to_dense().tolist() == [[0.0]] and kept_slots(spec) == [0]
+    assert laplacian_spectrum(spec) == [(0.0, 1), (2.0, 1)]
+    # T(0,0): bare spine vertices lose their leg slots, the join stays
+    spec = validate_spec((0, 0))
+    assert kept_slots(spec) == [1]
+    assert laplacian_spectrum(spec) == [(0.0, 1), (2.0, 1)]
 
 
 def test_prune_zero_worked_example(worked_spec):
-    c = prune_zero(build_C(worked_spec))
-    assert c.dim == 6
-    assert c.slot_q == (4, None, 9, None, None, 1)
+    keep = kept_slots(worked_spec)
+    assert [build_C(worked_spec).slot_q[s] for s in keep] == [4, None, 9, None, None, 1]
     # the two spine-edge slots around the pruned q_3 = 0 leg stay tied
-    assert (3, 4, 1) in c.offdiag
-    assert all(w2 != 0 for _, _, w2 in c.offdiag)
+    pruned = np.array([[3, 2, 0, 0, 0, 0],
+                       [2, 0, 3, 1, 0, 0],
+                       [0, 3, 8, 3, 0, 0],
+                       [0, 1, 3, 0, 1, 0],
+                       [0, 0, 0, 1, 0, 1],
+                       [0, 0, 0, 0, 1, 0]], dtype=float)
+    assert np.array_equal(build_C(worked_spec).to_dense()[np.ix_(keep, keep)], pruned)
+    vals = [0.0] + [1.0] * derive_params(worked_spec).a
+    vals += [float(v) + 2.0 for v in sym_eigs(pruned).values]
+    assert laplacian_spectrum(worked_spec) == as_multiset([(v, 1) for v in vals])
 
 
-def test_deleted_c_matches_row_deletion(worked_spec):
-    full = build_C(worked_spec).to_dense()
-    for i in range(1, 4):
-        got = deleted_C(worked_spec, i).to_dense()
+@given(extreme_specs)
+@example(validate_spec((4, 9, 0, 1)))
+@settings(max_examples=60)
+def test_deleted_c_matches_row_deletion(spec):
+    # C(i), C without the spine-edge slot 2i - 1, is the direct sum
+    # C(q_1..q_i) + C(q_{i+1}..q_k), which trace_inv_deleted assumes
+    full = build_C(spec).to_dense()
+    for i in range(1, spec.k):
         s = 2 * i - 1
-        want = np.delete(np.delete(full, s, axis=0), s, axis=1)
-        assert np.array_equal(got, want)
+        left = build_C(validate_spec(spec.q[:i])).to_dense()
+        right = build_C(validate_spec(spec.q[i:])).to_dense()
+        want = np.zeros((2 * spec.k - 2,) * 2)
+        want[:s, :s], want[s:, s:] = left, right
+        assert np.array_equal(np.delete(np.delete(full, s, axis=0), s, axis=1), want)
 
 
-def test_deleted_c_bounds(worked_spec):
-    with pytest.raises(IndexOutOfRange):
-        deleted_C(worked_spec, 0)
-    with pytest.raises(IndexOutOfRange):
-        deleted_C(worked_spec, 4)
+@given(extreme_specs)
+@example(validate_spec((4, 9, 0, 1)))
+@settings(max_examples=60)
+def test_pair_block_is_the_pair_quotient_matrix(spec):
+    # the principal 3 x 3 block of C at slot 2j - 2 is C(q_j, q_{j+1}), the
+    # submatrix whose eigenvalues ub_cardano interlaces with those of C
+    full = build_C(spec).to_dense()
+    for j in range(1, spec.k):
+        s = 2 * j - 2
+        pair = build_C(validate_spec(spec.q[j - 1:j + 1])).to_dense()
+        assert np.array_equal(full[s:s + 3, s:s + 3], pair)
 
 
 # -- the prefix recurrence and the scalar suffix recursion ------------------
@@ -235,7 +265,8 @@ def test_zero_leg_division_is_exact(spec):
     b = derive_params(spec).b
     assert charpoly_p(spec).coeffs[:b] == (0,) * b
     poly = shifted_pruned_charpoly(spec)
-    pruned = deradicalize(prune_zero(build_C(spec)))
+    keep, full = kept_slots(spec), deradicalize(build_C(spec))
+    pruned = [[full[r][s] for s in keep] for r in keep]
     for mu in range(-1, 2 * spec.k + 1):
         assert poly(mu) == (-1) ** b * exact_det(pruned, mu - 2)
 
@@ -291,10 +322,11 @@ def test_laplacian_spectrum_memory_does_not_grow_with_legs():
 @settings(max_examples=20)
 def test_laplacian_spectrum_equals_the_expanded_grouping(spec):
     # the block at 1 as one (1.0, a) pair groups exactly like a copies of 1.0
-    pruned = prune_zero(build_C(spec))
+    keep = kept_slots(spec)
     vals = [0.0] + [1.0] * derive_params(spec).a
-    if pruned.dim:
-        vals += [float(v) + 2.0 for v in sym_eigs(pruned.to_dense()).values]
+    if keep:
+        pruned = build_C(spec).to_dense()[np.ix_(keep, keep)]
+        vals += [float(v) + 2.0 for v in sym_eigs(pruned).values]
     assert laplacian_spectrum(spec) == as_multiset([(v, 1) for v in vals])
 
 

@@ -248,6 +248,18 @@ def test_cmd_verify_refuses_flags_that_make_it_vacuous(capsys, argv, flag):
     assert cap.err.startswith(f"verify {flag} needs")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--q", "2000"],                                                    # n = 2001
+    ["--random", "3", "--kmax", "60", "--qmax", "20", "--seed", "1"],   # one spec has n = 540
+], ids=["q", "random"])
+def test_cmd_verify_refuses_trees_above_the_dense_cap_before_any_check(capsys, argv):
+    # without the up-front check, T(2000) ran three checks for 25 s before the cap stopped it
+    assert cli.main(["verify"] + argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""                # no check ran
+    assert cap.err.startswith("verify T(") and "above the dense cap of 256" in cap.err
+
+
 def test_cmd_table_clean_rows(tmp_path, capsys):
     path = tmp_path / "specs.txt"
     path.write_text("# published rows that reproduce\n(2,0,3,4,7)\n5,0,5,0,5,0,5,0,5\n\nbogus\n7\n")
