@@ -15,23 +15,23 @@ and the graph builders stay importable from `oracle`, `charpoly` and
 from .bounds import (BoundsReport, CardanoBound, CubicSolution, TraceBounds,
                      bounds_report, bounds_trace, cardano_roots, trace_inv,
                      trace_inv_deleted, ub_cardano)
-from .charpoly import (IndexOutOfRange, IntPolynomial, charpoly_p,
-                       laplacian_charpoly, laplacian_spectrum, p_minus2,
-                       pprime_minus2)
+from .charpoly import (InaccurateSpectrum, IndexOutOfRange, IntPolynomial,
+                       charpoly_p, laplacian_charpoly, laplacian_spectrum,
+                       p_minus2, pprime_minus2)
 from .graphs import SpecTooSmall
-from .model import (CaterpillarSpec, DerivedParams, EmptySpec,
+from .model import (CaterpillarSpec, DerivedParams, EmptySpec, LegTooLarge,
                     NegativeLegCount, OrderTooLarge, derive_params,
                     validate_spec)
 from .oracle import NonConvergence
 
 __all__ = [
     "BoundsReport", "CardanoBound", "CaterpillarSpec", "CubicSolution",
-    "DerivedParams", "EmptySpec", "IndexOutOfRange", "IntPolynomial",
-    "NegativeLegCount", "NonConvergence", "OrderTooLarge",
-    "SpecTooSmall", "TraceBounds", "bounds_report", "bounds_trace",
-    "cardano_roots", "charpoly_p", "derive_params", "laplacian_charpoly",
-    "laplacian_spectrum", "p_minus2", "pprime_minus2", "trace_inv",
-    "trace_inv_deleted", "ub_cardano", "validate_spec",
+    "DerivedParams", "EmptySpec", "InaccurateSpectrum", "IndexOutOfRange",
+    "IntPolynomial", "LegTooLarge", "NegativeLegCount", "NonConvergence",
+    "OrderTooLarge", "SpecTooSmall", "TraceBounds", "bounds_report",
+    "bounds_trace", "cardano_roots", "charpoly_p", "derive_params",
+    "laplacian_charpoly", "laplacian_spectrum", "p_minus2", "pprime_minus2",
+    "trace_inv", "trace_inv_deleted", "ub_cardano", "validate_spec",
 ]
 
 __version__ = "0.1.0"

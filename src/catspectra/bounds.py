@@ -25,7 +25,7 @@ from math import atan2, cos, pi, sqrt
 
 from .charpoly import IndexOutOfRange, IntPolynomial, Rational, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
-from .model import CaterpillarSpec, derive_params, validate_spec
+from .model import CaterpillarSpec, LegTooLarge, derive_params, require_double_legs, validate_spec
 from .oracle import bisect_doubles, laplacian_count, mu_oracle
 
 
@@ -74,14 +74,17 @@ def cardano_roots(q1: int, q2: int) -> CubicSolution:
         return CubicSolution((float(q1 + q2), 0.0, -1.0), "zero_leg")
     cubic = IntPolynomial((q1 * (q2 - 1) + q2 * (q1 - 1), (q1 - 1) * (q2 - 1) - q1 - q2,
                            2 - q1 - q2, 1))
-    c0, c1, c2 = (float(c) for c in cubic.coeffs[:3])
-    r = c1 - c2 * c2 / 3.0
-    s = 2.0 * (c2 / 3.0) ** 3 - c2 * c1 / 3.0 + c0
-    rad = -((r / 3.0) ** 3) - (s / 2.0) ** 2
-    theta = atan2(sqrt(max(0.0, rad)), -s / 2.0)
-    amp = 2.0 * sqrt(-r / 3.0)
-    base = (q1 + q2 - 2) / 3.0
-    zetas = tuple(amp * cos((theta + 2.0 * pi * j) / 3.0) + base for j in range(3))
+    try:
+        c0, c1, c2 = (float(c) for c in cubic.coeffs[:3])
+        r = c1 - c2 * c2 / 3.0
+        s = 2.0 * (c2 / 3.0) ** 3 - c2 * c1 / 3.0 + c0
+        rad = -((r / 3.0) ** 3) - (s / 2.0) ** 2
+        theta = atan2(sqrt(max(0.0, rad)), -s / 2.0)
+        amp = 2.0 * sqrt(-r / 3.0)
+        base = (q1 + q2 - 2) / 3.0
+        zetas = tuple(amp * cos((theta + 2.0 * pi * j) / 3.0) + base for j in range(3))
+    except OverflowError:       # (r / 3)^3 leaves the doubles once a leg passes about 10^51
+        zetas = None
     return CubicSolution(_certify_roots(cubic, zetas), "trig")
 
 
@@ -99,21 +102,32 @@ def _certify_roots(cubic: IntPolynomial, zetas) -> tuple[float, float, float]:
     fails the exact sign test (`IntPolynomial.sign_at`, shared with
     `oracle.min_root`) is bisected on the same signs to adjacent doubles
     inside its isolating interval: below, between or above the two
-    critical points, within the Cauchy bound.
+    critical points, within the Cauchy bound.  With no estimates (zetas
+    None, the trigonometric form overflowed) every root is bisected, in
+    ascending order.  Coefficients too large for the interval ends to be
+    doubles (legs above about 10^154) raise LegTooLarge.
     """
     c0, c1, c2, _ = cubic.coeffs
-    half = sqrt(c2 * c2 - 3 * c1)
-    bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
+    try:
+        half = sqrt(c2 * c2 - 3 * c1)
+        bound = 1.0 + max(abs(c2), abs(c1), abs(c0))
+    except OverflowError:
+        raise LegTooLarge("the leg pair's cubic has coefficients beyond the doubles") from None
     edges = (-bound, (-c2 - half) / 3.0, (-c2 + half) / 3.0, bound)
+
+    def bisected(rank: int) -> float:      # the root between edges[rank] and edges[rank + 1]
+        lo, hi = edges[rank], edges[rank + 1]
+        s_lo = cubic.sign_at(lo)
+        return bisect_doubles(lambda x: cubic.sign_at(x) != s_lo, lo, hi)[1]
+
+    if zetas is None:
+        return (bisected(0), bisected(1), bisected(2))
     out = list(zetas)
     for rank, j in enumerate(sorted(range(3), key=lambda j: zetas[j])):
         z = zetas[j]
         d = CUBIC_ROOT_TOL * max(1.0, abs(z))
-        if cubic.sign_at(z - d) * cubic.sign_at(z + d) <= 0:
-            continue
-        lo, hi = edges[rank], edges[rank + 1]
-        s_lo = cubic.sign_at(lo)
-        out[j] = bisect_doubles(lambda x: cubic.sign_at(x) != s_lo, lo, hi)[1]
+        if cubic.sign_at(z - d) * cubic.sign_at(z + d) > 0:
+            out[j] = bisected(rank)
     return (out[0], out[1], out[2])
 
 
@@ -202,10 +216,12 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
     exact p(-2), p'(-2) and trace_inv that lb_trace is derived from, so it
     is the single source of every number a bounds record shows.  Violations
     are reported in `warnings`, never raised: the report is also the vehicle
-    for detecting them.
+    for detecting them.  mu and the pair bound are doubles, so legs without a
+    double value raise LegTooLarge.
     """
     if spec.k < 2:
         raise SpecTooSmall("bounds reports need k >= 2")
+    require_double_legs(spec)
     mu = mu_oracle(spec)
     tb = bounds_trace(spec)
     cb = ub_cardano(spec)

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .model import CaterpillarSpec, OrderTooLarge, derive_params
+from .model import CaterpillarSpec, OrderTooLarge, derive_params, require_double_legs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,8 +57,15 @@ class IndexOutOfRange(IndexError):
     """Deletion index outside 1..k-1."""
 
 
+class InaccurateSpectrum(ValueError):
+    """The dense eigensolve cannot resolve the Laplacian spectrum to SPECTRUM_TOL."""
+
+
 # laplacian_charpoly's (mu - 1)^a product is O(n^2): 1.4 s at n = 2010 (2-vCPU Xeon VM)
 MAX_LAPLACIAN_ORDER = 2048
+
+# laplacian_spectrum's values are within this of the exact ones, relative to max(1, |value|)
+SPECTRUM_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,10 @@ class IntPolynomial:
         return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        return self + (-other)
+        if isinstance(other, int):
+            return IntPolynomial((self.coeffs[0] - other,) + self.coeffs[1:])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial(tuple(x - y for x, y in pairs))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -319,17 +330,50 @@ def as_multiset(pairs, tol: float = 1e-9) -> list[tuple[float, int]]:
     return [(v, m) for v, m in out]
 
 
+def _certify_spectrum(spec: CaterpillarSpec, pairs) -> None:
+    """Raise InaccurateSpectrum unless every value of the (value, multiplicity)
+    pairs lies within SPECTRUM_TOL max(1, |value|) of the Laplacian eigenvalues
+    it stands for.
+
+    With lambda_1 <= ... <= lambda_n the exact eigenvalues, a value v standing
+    for lambda_{j+1} .. lambda_{j+m} is certified to within d when fewer than
+    j + 1 of them lie below v - d and at least j + m at or below v + d, both
+    by the exact count on the tree (`oracle.laplacian_count`).
+    """
+    from .oracle import laplacian_count
+
+    j = 0
+    for v, m in sorted(pairs):
+        d = SPECTRUM_TOL * max(1.0, abs(v))
+        below, at = laplacian_count(spec, v + d)
+        if laplacian_count(spec, v - d)[0] > j or below + at < j + m:
+            raise InaccurateSpectrum(f"the dense eigensolve is off by more than {d:.3g} near "
+                                     f"{v:.6g}; the leg counts are too large for it")
+        j += m
+
+
 def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
     """Laplacian spectrum as (eigenvalue, multiplicity) pairs.
 
     {0} union {1 with multiplicity a, one pair} union (spectrum of the pruned C, + 2).
+    Every value is within SPECTRUM_TOL max(1, |value|) of its exact eigenvalue,
+    or InaccurateSpectrum is raised.  Jacobi's eigenvectors V are orthonormal,
+    so V^T C' V is the diagonal of its values plus V^T R, R = C'V - V diag, and
+    by Weyl's inequality the sorted values are within ||R||_2 <= dim max|R| of
+    C''s; when that bound is above SPECTRUM_TOL (legs of about 10^7 and more)
+    the exact count on the tree certifies them instead.  Legs without a double
+    value raise LegTooLarge.
     """
     from .oracle import sym_eigs   # deferred: oracle imports this module's types
 
+    require_double_legs(spec)
     d = derive_params(spec)
     c = build_C(spec)
     keep = [s for s, qs in enumerate(c.slot_q) if qs != 0]     # C' drops the q_i = 0 leg slots
     pairs = [(0.0, 1)] + ([(1.0, d.a)] if d.a else [])
     if keep:
-        pairs.extend((float(v) + 2.0, 1) for v in sym_eigs(c.to_dense()[keep][:, keep]).values)
+        res = sym_eigs(c.to_dense()[keep][:, keep])
+        pairs.extend((float(v) + 2.0, 1) for v in res.values)
+        if len(keep) * res.residual > SPECTRUM_TOL:
+            _certify_spectrum(spec, pairs)
     return as_multiset(pairs)

@@ -1,7 +1,7 @@
 """Explicit graph and matrix constructions.
 
 Builds the caterpillar tree itself, its adjacency/degree/Laplacian/signless
-Laplacian/incidence matrices, its line graph, and the generic H-join, so the
+Laplacian matrices, its line graph, and the generic H-join, so the
 structural identities used by the fast polynomial route can all be checked
 against concrete matrices.
 
@@ -94,32 +94,24 @@ def matrices(g: Graph) -> dict[str, np.ndarray]:
     return {"A": a, "D": d, "L": d - a, "Q": d + a}
 
 
-def incidence(g: Graph) -> np.ndarray:
-    """Vertex-edge incidence matrix, columns in the sorted edge order."""
-    import numpy as np
-
-    inc = np.zeros((g.n, g.m))
-    for j, (u, v) in enumerate(g.edges):
-        inc[u - 1, j] = inc[v - 1, j] = 1.0
-    return inc
-
-
 def line_graph(g: Graph) -> Graph:
     """Graph on the edges of g, adjacent when they share an endpoint.
 
-    Base graphs with more than MAX_DENSE_ORDER edges raise OrderTooLarge
-    before the O(m^2) pair scan; `matrices` refuses such a line graph anyway.
+    Edges are paired through the vertices they share, so the cost is the
+    size of the output, not m^2.  Base graphs with more than MAX_DENSE_ORDER
+    edges raise OrderTooLarge: a star's line graph is complete, and
+    `matrices` refuses such a line graph anyway.
     """
     if g.m == 0:
         raise NoEdges("line graph needs at least one edge")
     if g.m > MAX_DENSE_ORDER:
         raise OrderTooLarge(f"the line graph has order {g.m}, above the cap of {MAX_DENSE_ORDER}")
-    edges = []
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if set(g.edges[i]) & set(g.edges[j]):
-                edges.append((i + 1, j + 1))
-    return _mk_graph(g.m, edges)
+    at: dict[int, list[int]] = {}       # vertex -> the 1-based indices of its edges
+    for j, (u, v) in enumerate(g.edges, 1):
+        at.setdefault(u, []).append(j)
+        at.setdefault(v, []).append(j)
+    return _mk_graph(g.m, [(i, j) for es in at.values()
+                           for x, i in enumerate(es) for j in es[x + 1:]])
 
 
 def h_join(h: Graph, family: list[Graph]) -> Graph:

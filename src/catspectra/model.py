@@ -26,6 +26,10 @@ class OrderTooLarge(ValueError):
     """A dense matrix or a polynomial would exceed the order cap of its route."""
 
 
+class LegTooLarge(ValueError):
+    """A leg count is too large for a route that computes in doubles."""
+
+
 @dataclass(frozen=True)
 class CaterpillarSpec:
     """Validated leg-count vector.
@@ -64,6 +68,15 @@ def validate_spec(q: Sequence[int]) -> CaterpillarSpec:
     k = len(qt)
     n = sum(qt) + k
     return CaterpillarSpec(q=qt, canonical=(k >= 2 and n >= 5))
+
+
+def require_double_legs(spec: CaterpillarSpec) -> None:
+    """Raise LegTooLarge unless every leg count converts to a double (below about 2^1024)."""
+    try:
+        float(max(spec.q))
+    except OverflowError:
+        raise LegTooLarge(f"a leg count of {max(spec.q).bit_length()} bits has no double value, "
+                          f"and this route computes in doubles") from None
 
 
 def derive_params(spec: CaterpillarSpec) -> DerivedParams:

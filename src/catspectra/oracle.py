@@ -12,12 +12,15 @@ Four kinds of oracle live here:
   1989 show the ordering equivalent to the row-cyclic one), the
   cross-check of the count.  A list of matrices is solved as one stack:
   each is zero-padded to the largest order, all share every round, and
-  each stops on its own tolerance;
+  each stops on its own tolerance.  A round is a fixed handful of numpy
+  calls on preallocated arrays, whatever the stack holds: the eigenvectors
+  ride beside the matrix, so one batched product turns the rows of both;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
-  polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
+  polynomial, `exact_det` is fraction-free (Bareiss) elimination, which
+  skips the multiply-subtract on rows already zero below the pivot, and
   `lap_charpoly_eval` evaluates det(tI - L) of a tree exactly by leaf
-  elimination, division-free;
+  elimination, division-free, at a whole list of points in one traversal;
 * root counting (`sturm_count`): distinct roots of an integer polynomial in
   an interval, by one Sturm chain; `min_root` bisects it to adjacent doubles.
 
@@ -93,9 +96,10 @@ def _jacobi_cs(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray,
     """
     import numpy as np
 
-    tau = np.divide(aqq - app, 2.0 * apq, out=np.zeros(apq.shape), where=hit)
+    # tau = inf outside `hit` gives t = 1 / inf = 0 there, with no masked division
+    tau = np.divide(aqq - app, 2.0 * apq, out=np.full(apq.shape, np.inf), where=hit)
     at = np.abs(tau)
-    t = np.copysign(hit / (at + np.sqrt(1.0 + at * at)), tau)
+    t = np.copysign(1.0 / (at + np.sqrt(1.0 + at * at)), tau)
     c = 1.0 / np.hypot(1.0, t)
     return c, t * c
 
@@ -111,8 +115,9 @@ def _checked(m) -> np.ndarray:
     if n > MAX_DENSE_ORDER:
         raise OrderTooLarge(f"the dense eigensolve has order {n}, "
                             f"above the cap of {MAX_DENSE_ORDER}")
-    if n and not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(m).max())):
-        raise ValueError("matrix is not symmetric")
+    # a NaN or an infinity anywhere makes the tolerance infinite or NaN, which fails the test
+    if n and not np.abs(m - m.T).max() <= 1e-8 * (1.0 + np.abs(m).max()) < np.inf:
+        raise ValueError("matrix is not symmetric, or not finite")
     return m
 
 
@@ -126,6 +131,12 @@ def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
     one orthogonal J applied at once, a <- J^T a J and v <- v J; the
     annihilated a[p, q] are then set to exactly 0.  The matrix is kept in the
     current round's pair order, so J is block diagonal with 2 x 2 blocks.
+    v^T is kept beside a, as the rows of one array [a | v^T]: one batched
+    product turns the rows of both, X = J^T a and J^T v^T; one gather takes
+    X^T = a J with its columns already in the next round's order, a second
+    product turns its rows into J^T a J, and a row gather then brings the
+    rows of [a | v^T] to the next order.  A round that rotates nothing moves
+    both with one flat gather.
     Luk and Park (SIAM J. Sci. Stat. Comput. 10, 1989) show this ordering
     equivalent to the row-cyclic one, so with inner rotations (|theta| <=
     pi/4) it converges.
@@ -141,7 +152,7 @@ def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
     before each sweep, and a member whose norm is below its tol is frozen,
     rotated no more.  A member still above its tol after max_sweeps sweeps
     raises NonConvergence.  Every member is validated before any work:
-    non-square or asymmetric ones raise ValueError, orders above
+    non-square, asymmetric or non-finite ones raise ValueError, orders above
     MAX_DENSE_ORDER raise OrderTooLarge (a sweep costs O(n^3), so the solve
     would run for minutes to hours).
     """
@@ -157,27 +168,46 @@ def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
     nb = len(live)
     move = _round_robin(max(orders))
     size = len(move)            # the largest order, made even; members below it are zero-padded
-    half, stride = size // 2, 2 * size + 2      # stride: flat step from pair (p, q) to the next
-    both = (move[:, None] * size + move).reshape(-1)   # a[move][:, move], as one flat gather
+    half, width = size // 2, 2 * size
+    stride = 2 * width + 2      # flat step from pair (p, q) to the next in a row of [a | v^T]
+    place = np.argsort(move)    # the next round's place of each index
+    # [a | v^T][move][:, move + (v^T's columns in place)], as one flat gather
+    both = (move[:, None] * width + np.concatenate((move, np.arange(size, width)))).reshape(-1)
+    # X^T with its columns moved, X^T[:, move], from X in the rows of [X | v^T]
+    turned = (move * width + np.arange(size)[:, None]).reshape(-1)
+    # the places of (p, q) and (q, p) of each pair of each member, once the columns are moved
+    ties = (np.arange(nb)[:, None, None] * size * width
+            + np.stack((np.arange(0, size, 2) * width + place[1::2],
+                        np.arange(1, size, 2) * width + place[0::2]), axis=1))
     blocks = np.empty((nb, half, 4))
     g = blocks.reshape(nb * half, 2, 2)     # the 2 x 2 diagonal blocks of each J^T, one per pair
-    a = np.zeros((nb, size, size))
+    cosines, sines, signs = blocks[..., ::3], blocks[..., 1:3], np.array([-1.0, 1.0])
+    # [a | v^T], v^T's row i pairing with a[i, i]; a round leaves its result in `av` and uses
+    # `spare` and `a_t` as work space.  Every view below is made once.
+    av, spare = np.zeros((nb, size, width)), np.empty((nb, size, width))
+    a_t = np.empty((nb, size, size))
     for j, b in enumerate(live):
         n = orders[b]
-        a[j, :n, :n] = (mats[b] + mats[b].T) / 2.0
-    w = np.broadcast_to(np.eye(size), a.shape).copy()      # v^T: row i pairs with a[i, i]
-    tol = 1e-12 * np.maximum(np.linalg.norm(a.reshape(nb, -1), axis=1), 1e-300)
+        av[j, :n, :n] = (mats[b] + mats[b].T) / 2.0
+    av[:, :, size:] = np.eye(size)
+    flat, flat_spare, a_t_flat = av.reshape(nb, -1), spare.reshape(nb, -1), a_t.reshape(nb, -1)
+    spare_all = spare.reshape(-1)
+    app, aqq, apq = flat[:, 0::stride], flat[:, width + 1::stride], flat[:, 1::stride]
+    rows, rows_spare = av.reshape(nb * half, 2, width), spare.reshape(nb * half, 2, width)
+    a_rows_spare, a_t_rows = rows_spare[:, :, :size], a_t.reshape(nb * half, 2, size)
+    tol = 1e-12 * np.maximum(np.linalg.norm(av[:, :, :size].reshape(nb, -1), axis=1), 1e-300)
     # rotations below a member's skip cannot keep its norm above its tol
     skip = tol / (2.0 * np.array([orders[b] for b in live]))
+    skip_col = skip[:, None]
     sweeps = np.zeros(nb, dtype=int)
     off = np.empty((nb, size, size))
-    diag = np.arange(size)
+    off_flat = off.reshape(nb, -1)
     while True:
-        np.copyto(off, a)
-        off[:, diag, diag] = 0.0        # entrywise, not ||A||^2 - ||diag||^2, which cancels
-        norms = np.linalg.norm(off.reshape(nb, -1), axis=1)
+        np.copyto(off, av[:, :, :size])
+        off_flat[:, ::size + 1] = 0.0   # entrywise, not ||A||^2 - ||diag||^2, which cancels
+        norms = np.sqrt(np.add.reduce(off_flat * off_flat, axis=1))     # np.linalg.norm's sum
         active = norms > tol
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         late = active & (sweeps >= max_sweeps)
         if late.any():
@@ -187,28 +217,28 @@ def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
                                  f"(tol {tol[j]:.3e}){where}")
         skip[~active] = np.inf          # frozen: no pair of a converged member is rotated again
         for _ in range(size - 1):
-            flat = a.reshape(nb, -1)
-            apq = flat[:, 1::stride]
-            hit = np.abs(apq) > skip[:, None]
-            if hit.any():
-                c, s = _jacobi_cs(flat[:, 0::stride], flat[:, size + 1::stride], apq, hit)
-                blocks[..., 0], blocks[..., 1], blocks[..., 2], blocks[..., 3] = c, -s, s, c
-                a = (g @ a.reshape(nb * half, 2, size)).reshape(nb, size, size).transpose(0, 2, 1)
-                a = (g @ a.reshape(nb * half, 2, size)).reshape(nb, size, size)     # J^T a J
-                w = (g @ w.reshape(nb * half, 2, size)).reshape(nb, size, size)
-                flat = a.reshape(nb, -1)
-                flat[:, 1::stride][hit] = 0.0
-                flat[:, size::stride][hit] = 0.0
-            a = a.reshape(nb, -1).take(both, axis=1).reshape(nb, size, size)
-            w = w.take(move, axis=1)
+            hit = np.abs(apq) > skip_col
+            if np.count_nonzero(hit):
+                c, s = _jacobi_cs(app, aqq, apq, hit)
+                cosines[...] = c[..., None]                     # [[c, -s], [s, c]]
+                np.multiply(s[..., None], signs, out=sines)
+                np.matmul(g, rows, out=rows_spare)              # [X | J^T v^T], X = J^T a
+                # J^T a J = J^T X^T, a being symmetric, made with its columns moved
+                flat_spare.take(turned, axis=1, out=a_t_flat, mode="clip")
+                np.matmul(g, a_t_rows, out=a_rows_spare)
+                spare_all[ties[hit]] = 0.0
+                spare.take(move, axis=1, out=av, mode="clip")   # and then its rows
+            else:
+                flat.take(both, axis=1, out=flat_spare, mode="clip")    # "raise" would buffer
+                np.copyto(av, spare)
         sweeps += active
 
     # a full sweep brings the order back to round 0's, the identity; drop the padding
     for j, b in enumerate(live):
         m, n = mats[b], orders[b]
-        vals = a[j].diagonal()[:n]
+        vals = av[j].diagonal()[:n]
         order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], w[j, :n, :n].T[:, order]
+        vals, vecs = vals[order], av[j, :n, size:size + n].T[:, order]
         residual = float(np.abs(m @ vecs - vecs * vals).max())
         out[b] = EigenResult(vals, vecs, int(sweeps[j]), residual)
     return out
@@ -334,7 +364,13 @@ def deradicalize(c: StructuredC) -> list[list[int]]:
 
 
 def exact_det(m, t: int = 0) -> int:
-    """det(M - tI) over the integers by fraction-free (Bareiss) elimination."""
+    """det(M - tI) over the integers by fraction-free (Bareiss) elimination.
+
+    A row whose entry below the pivot is already 0 needs no multiply-subtract:
+    Bareiss's (a[r][c] p - a[r][col] a[col][c]) / prev is then a[r][c] p / prev,
+    still exact.  Column col below the pivot is never read again, so it is
+    left as it is.
+    """
     a = [[int(x) for x in row] for row in m]
     n = len(a)
     for i in range(n):
@@ -352,25 +388,31 @@ def exact_det(m, t: int = 0) -> int:
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
+        p, top = a[col][col], a[col][col + 1:]
         for r in range(col + 1, n):
-            for cc in range(col + 1, n):
-                a[r][cc] = (a[r][cc] * a[col][col] - a[r][col] * a[col][cc]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
+            row = a[r]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], top)]
+            else:
+                row[col + 1:] = [x * p // prev for x in row[col + 1:]]
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
-def lap_charpoly_eval(g: Graph, t: int) -> int:
-    """Exact det(tI - L(g)) for a tree, by division-free leaf elimination.
+def lap_charpoly_eval(g: Graph, ts) -> list[int]:
+    """Exact det(tI - L(g)) of a tree at each integer t of ts, by division-free leaf elimination.
 
     Rooted at vertex 1: a_v = (t - d_v) prod_c a_c - sum_c b_c prod_{c' != c} a_{c'},
     b_v = prod_c a_c over children c; the determinant telescopes to a_root.
     The sum is kept as a running pair over the children, so each vertex costs
-    O(children) products.
+    O(children) products per point.  One traversal serves every point: each
+    vertex holds its a and b as lists over ts.
     """
+    ts = list(ts)
     n = g.n
     if n == 0:
-        return 1
+        return [1] * len(ts)
     adj: dict[int, list[int]] = {u: [] for u in range(1, n + 1)}
     for u, w in g.edges:
         adj[u].append(w)
@@ -385,15 +427,25 @@ def lap_charpoly_eval(g: Graph, t: int) -> int:
                 order.append(w)
     if len(order) != n:
         raise ValueError("graph is not a connected tree")
+    ones = [1] * len(ts)
     av = {}
     bv = {}
     for u in reversed(order):
-        kids = [w for w in adj[u] if parent.get(w) == u]
-        prod, rest = 1, 0
-        for w in kids:
-            rest = rest * av[w] + bv[w] * prod
-            prod *= av[w]
-        av[u] = (t - len(adj[u])) * prod - rest
+        prod, rest = ones, None
+        for w in adj[u]:
+            if parent[w] != u:
+                continue
+            aw, bw = av.pop(w), bv.pop(w)
+            if rest is None:        # the first child: rest = b_w, prod = a_w
+                prod, rest = aw, bw
+            else:
+                rest = [r * x + y * p for r, x, y, p in zip(rest, aw, bw, prod)]
+                prod = [p * x for p, x in zip(prod, aw)]
+        d = len(adj[u])
+        if rest is None:
+            av[u] = [t - d for t in ts]
+        else:
+            av[u] = [(t - d) * p - r for t, p, r in zip(ts, prod, rest)]
         bv[u] = prod
     return av[1]
 

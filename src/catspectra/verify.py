@@ -142,9 +142,9 @@ def _ck_scalar_vs_poly(spec, tol):
 
 def _ck_laplacian_charpoly(spec, tol):
     poly = charpoly.laplacian_charpoly(spec)
-    g = graphs.build_caterpillar(spec)
-    for t in range(0, model.derive_params(spec).n + 1):
-        if oracle.lap_charpoly_eval(g, t) != poly(t):
+    ts = range(0, model.derive_params(spec).n + 1)
+    for t, det in zip(ts, oracle.lap_charpoly_eval(graphs.build_caterpillar(spec), ts)):
+        if det != poly(t):
             return f"laplacian_charpoly disagrees with the tree determinant at t={t}"
     return None
 

@@ -62,6 +62,14 @@ def frac(a, b):
     return Fraction(a, b)
 
 
+def incidence(g):
+    """Vertex-edge incidence matrix of a `graphs.Graph`, columns in the sorted edge order."""
+    inc = np.zeros((g.n, g.m))
+    for j, (u, v) in enumerate(g.edges):
+        inc[u - 1, j] = inc[v - 1, j] = 1.0
+    return inc
+
+
 def sorted_eigs_of(mat):
     """Reference eigenvalues via the in-repo Jacobi solver, ascending."""
     from catspectra.oracle import sym_eigs

@@ -19,7 +19,7 @@ from catspectra.bounds import (
 )
 from catspectra.charpoly import IndexOutOfRange, build_C, charpoly_p, p_minus2, pprime_minus2
 from catspectra.graphs import SpecTooSmall
-from catspectra.model import validate_spec
+from catspectra.model import LegTooLarge, validate_spec
 from catspectra.oracle import mu_oracle, sym_eigs
 
 from conftest import nondegenerate_specs, specs
@@ -77,10 +77,12 @@ def test_cardano_positive_pairs_always_take_the_trig_path():
 
 
 @pytest.mark.parametrize("q1,q2", [(10**5, 1), (10**6, 10**6), (10**6, 3), (10**8, 1),
-                                   (10**9, 10**9), (1000, 1), (4, 9)])
+                                   (10**9, 10**9), (1000, 1), (4, 9),
+                                   (10**60, 1), (10**60, 5), (10**150, 7)])
 def test_cardano_roots_stay_accurate_for_large_legs(q1, q2):
     # the trigonometric form alone put lam3 + 2 of (10^5, 1) 4.7e-8 and of
-    # (10^8, 1) 0.084 above mu, which equals lam3 + 2 when k = 2
+    # (10^8, 1) 0.084 above mu, which equals lam3 + 2 when k = 2; from legs of
+    # about 10^52 on it overflowed, and every root is bisected
     spec = validate_spec((q1, q2))
     p = charpoly_p(spec)
     sol = cardano_roots(q1, q2)
@@ -89,6 +91,16 @@ def test_cardano_roots_stay_accurate_for_large_legs(q1, q2):
         d = Fraction(CUBIC_ROOT_TOL * max(1.0, abs(z)))
         assert p(Fraction(z) - d) * p(Fraction(z) + d) <= 0, z
     assert abs(sol.lam3 + 2.0 - mu_oracle(spec)) <= 2 * CUBIC_ROOT_TOL
+
+
+def test_cardano_refuses_a_pair_whose_cubic_leaves_the_doubles():
+    with pytest.raises(LegTooLarge):
+        cardano_roots(10**160, 1)
+
+
+def test_bounds_report_refuses_legs_without_a_double_value():
+    with pytest.raises(LegTooLarge):
+        bounds_report(validate_spec((2**1024, 0, 1)))
 
 
 def test_cardano_rejects_negative():

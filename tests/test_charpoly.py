@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from catspectra import charpoly
 from catspectra.charpoly import (
     MAX_LAPLACIAN_ORDER,
+    SPECTRUM_TOL,
+    InaccurateSpectrum,
     IntPolynomial,
     OrderTooLarge,
     POLY_X,
@@ -26,8 +28,8 @@ from catspectra.charpoly import (
     pprime_minus2,
     shifted_pruned_charpoly,
 )
-from catspectra.model import derive_params, validate_spec
-from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, sym_eigs
+from catspectra.model import LegTooLarge, derive_params, validate_spec
+from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
 from catspectra.graphs import build_caterpillar
 
 from conftest import eval_points, specs
@@ -97,6 +99,7 @@ def test_poly_ring_identities(p, q, c, x):
     assert (p + q)(x) == p(x) + q(x)
     assert (p * q)(x) == p(x) * q(x)
     assert (p - q)(x) == p(x) - q(x)
+    assert (p - q).coeffs == (p + -q).coeffs
     assert (p + c)(x) == p(x) + c
     assert (p - c)(x) == p(x) - c
 
@@ -252,9 +255,8 @@ def test_laplacian_charpoly_matches_tree_determinant(spec):
     assert poly.degree == d.n
     assert poly.coeffs[-1] == 1
     assert poly.coeffs[0] == 0
-    g = build_caterpillar(spec)
-    for t in range(d.n + 1):
-        assert poly(t) == lap_charpoly_eval(g, t)
+    ts = range(d.n + 1)
+    assert lap_charpoly_eval(build_caterpillar(spec), ts) == [poly(t) for t in ts]
 
 
 @given(specs(max_q=4).filter(lambda s: 0 in s.q))
@@ -316,6 +318,28 @@ def test_laplacian_spectrum_memory_does_not_grow_with_legs():
         tracemalloc.stop()
     assert peak < 2**20
     assert (1.0, 10**6 - 1) in ms and sum(m for _, m in ms) == 10**6 + 3
+
+
+@pytest.mark.parametrize("q", [(10**13, 1), (10**15, 2, 3)])
+def test_laplacian_spectrum_refuses_legs_too_large_for_jacobi(q):
+    # Jacobi stops at 1e-12 ||C'||_F, so it never rotated the unit ties of these:
+    # T(10^13, 1) came out as 0, 1, 2, 10^13 + 2 in place of 0, 0.3820, 1, 2.6180, ...
+    with pytest.raises(InaccurateSpectrum):
+        laplacian_spectrum(validate_spec(q))
+
+
+@pytest.mark.parametrize("q", [(10**9, 1), (10**9, 3, 0, 10**8), (10**7,) * 4])
+def test_laplacian_spectrum_on_huge_legs_is_within_its_tolerance(q):
+    # legs this large make Jacobi's residual bound too loose, so the exact count certifies
+    spec = validate_spec(q)
+    ms = laplacian_spectrum(spec)
+    assert sum(m for _, m in ms) == derive_params(spec).n
+    assert abs(ms[1][0] - mu_oracle(spec)) <= SPECTRUM_TOL
+
+
+def test_laplacian_spectrum_refuses_legs_without_a_double_value():
+    with pytest.raises(LegTooLarge):
+        laplacian_spectrum(validate_spec((2**1024, 1)))
 
 
 @given(specs())

@@ -220,6 +220,32 @@ def test_bounds_on_huge_trees_answers_without_warnings(capsys, q):
     assert rec["bounds"]["lb"] <= rec["mu"] <= rec["bounds"]["ub_trace"]
 
 
+def test_cmd_bounds_answers_on_legs_of_10_to_the_60(capsys):
+    # the pair bound's trigonometric form raised OverflowError above legs of about 10^52
+    assert cli.main(["bounds", "--q", f"{10**60},1", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["warnings"] == []
+    # k = 2: the pair block is all of C, so ub_cardano is mu, within the roots' tolerance
+    assert abs(rec["bounds"]["ub_cardano"] - rec["mu"]) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "10000000000000,1"],
+    ["spectrum", "--q", f"{2**1024},1"],
+    ["bounds", "--q", f"{2**1024},1"],
+    ["bounds", "--q", f"{10**160},1"],
+    ["table", "--input", "specs.txt"],
+], ids=["spectrum-1e13", "spectrum-2^1024", "bounds-2^1024", "bounds-1e160", "table-2^1024"])
+def test_legs_beyond_the_double_routes_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # each printed wrong numbers with exit 0, or crashed with a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "specs.txt").write_text(f"4,9,0,1\n{2**1024},1\n")
+    assert cli.main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 def test_cmd_verify_single_spec(capsys):
     assert cli.main(["verify", "--q", "4,9,0,1"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,10 @@
 """Tests for the explicit graph constructions and matrix identities."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from catspectra.graphs import (
     MAX_DENSE_ORDER,
@@ -13,7 +15,6 @@ from catspectra.graphs import (
     build_caterpillar,
     complete_graph,
     h_join,
-    incidence,
     line_graph,
     linegraph_as_hjoin,
     matrices,
@@ -22,7 +23,7 @@ from catspectra.graphs import (
 from catspectra import verify
 from catspectra.model import OrderTooLarge, validate_spec
 
-from conftest import specs
+from conftest import incidence, specs
 
 
 def test_path_caterpillar_structure(path_spec):
@@ -105,6 +106,27 @@ def test_line_graph_of_star_is_complete():
         kq1 = complete_graph(q + 1)
         assert lg.n == kq1.n
         assert lg.edges == kq1.edges
+
+
+def _pairwise_line_graph_edges(g):
+    """The definition: every pair of edges that shares an endpoint."""
+    return [(i + 1, j + 1) for i, j in combinations(range(g.m), 2)
+            if set(g.edges[i]) & set(g.edges[j])]
+
+
+@given(specs(max_q=9))
+@settings(max_examples=30)
+@example(validate_spec((3, 0, 0, 5)))
+def test_line_graph_matches_the_pairwise_definition_on_trees(spec):
+    g = build_caterpillar(spec)
+    if g.m:
+        assert line_graph(g) == Graph(n=g.m, edges=tuple(_pairwise_line_graph_edges(g)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_line_graph_matches_the_pairwise_definition_on_complete_graphs(n):
+    g = complete_graph(n)
+    assert line_graph(g) == Graph(n=g.m, edges=tuple(_pairwise_line_graph_edges(g)))
 
 
 def test_line_graph_needs_edges():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given
 
-from catspectra.model import EmptySpec, NegativeLegCount, derive_params, validate_spec
+from catspectra.model import (EmptySpec, LegTooLarge, NegativeLegCount, derive_params,
+                              require_double_legs, validate_spec)
 
 from conftest import leg_counts
 
@@ -78,3 +79,10 @@ def test_derived_identities(q):
     assert p.a + p.b + sum(p.delta) == sum(q) + sum(1 for x in q if x == 0)
     assert all(qp == max(1, x) for qp, x in zip(p.qplus, q))
     assert spec.canonical == (k >= 2 and p.n >= 5)
+
+
+def test_require_double_legs_stops_where_float_overflows():
+    # 2^1024 - 2^970 is halfway from the largest double to 2^1024 and rounds up
+    require_double_legs(validate_spec((2**1024 - 2**970 - 1, 1)))
+    with pytest.raises(LegTooLarge, match="1024 bits"):
+        require_double_legs(validate_spec((3, 2**1024 - 2**970)))

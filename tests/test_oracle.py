@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import inf, nextafter
+from random import Random
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ def test_sym_eigs_empty_and_errors():
         sym_eigs(np.array([[40.0, 1.0], [1.000009, 40.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
         sym_eigs(np.array([[40.0, 40.0], [40.0004, 40.0]]))
+    # a non-finite entry fails the symmetry test (inf - inf is NaN, with numpy's warning)
+    with pytest.raises(ValueError, match="not finite"):
+        sym_eigs(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not finite"):
+        sym_eigs(np.array([[0.0, np.inf], [5.0, 1.0]]))
+    with pytest.raises(ValueError, match="not finite"), pytest.warns(RuntimeWarning):
+        sym_eigs(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 @given(symmetric_matrices())
@@ -357,38 +365,94 @@ def test_exact_det_matches_float_det(n, data):
     assert exact_det(m) == want
 
 
+def _fraction_det(m) -> Fraction:
+    """det(M) by Gaussian elimination over the rationals, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def test_exact_det_on_a_permutation_and_a_zero_column():
+    # every multiplier below each pivot is 0, and two pivots need a row swap
+    assert exact_det([[0, 0, 3], [0, 2, 0], [5, 0, 0]]) == -30
+    assert exact_det([[1, 0, 4], [2, 0, 5], [3, 0, 6]]) == 0
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=-3, max_value=3), st.data())
+@settings(max_examples=80)
+def test_exact_det_matches_fraction_elimination_on_sparse_matrices(n, t, data):
+    # mostly zeros: rows whose multiplier is 0, zero columns and zero pivots that need a swap
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7])
+    m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    shifted = [[x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    assert exact_det(m, t) == _fraction_det(shifted)
+
+
+def _random_tree(n: int, seed: int) -> Graph:
+    rng = Random(seed)
+    return Graph(n=n, edges=tuple(sorted((rng.randint(1, v - 1), v) for v in range(2, n + 1))))
+
+
+@pytest.mark.parametrize("g", [
+    Graph(n=1, edges=()),
+    build_caterpillar(validate_spec((1,))),
+    build_caterpillar(validate_spec((7,))),                # stars
+    build_caterpillar(validate_spec((12, 0))),
+    build_caterpillar(validate_spec((0,) * 9)),             # paths
+    build_caterpillar(validate_spec((1, 0, 0, 0, 1))),
+    _random_tree(10, 1),
+    _random_tree(17, 2),
+    _random_tree(25, 3),
+], ids=["K1", "P2", "star8", "star13", "P9", "P7", "tree10", "tree17", "tree25"])
+def test_lap_charpoly_eval_at_every_point_matches_bareiss_at_each(g):
+    lap = matrices(g)["L"].astype(int).tolist()
+    ts = list(range(-2, g.n + 3))
+    assert lap_charpoly_eval(g, ts) == [(-1) ** g.n * exact_det(lap, t) for t in ts]
+    assert lap_charpoly_eval(g, []) == []
+
+
 def test_lap_charpoly_eval_edge():
     g = Graph(n=2, edges=((1, 2),))
     # det(tI - L(P2)) = t^2 - 2t
-    assert [lap_charpoly_eval(g, t) for t in range(4)] == [0, -1, 0, 3]
+    assert lap_charpoly_eval(g, range(4)) == [0, -1, 0, 3]
 
 
 def test_lap_charpoly_eval_star():
     g = build_caterpillar(validate_spec((3,)))
     # t (t-1)^2 (t-4)
-    assert [lap_charpoly_eval(g, t) for t in range(5)] == [0, 0, -4, -12, 0]
+    assert lap_charpoly_eval(g, range(5)) == [0, 0, -4, -12, 0]
 
 
 def test_lap_charpoly_eval_matches_bareiss(worked_spec):
     g = build_caterpillar(worked_spec)
     lap = matrices(g)["L"].astype(int).tolist()
     sign = (-1) ** g.n
-    for t in range(5):
-        assert lap_charpoly_eval(g, t) == sign * exact_det(lap, t)
+    assert lap_charpoly_eval(g, range(5)) == [sign * exact_det(lap, t) for t in range(5)]
 
 
 def test_lap_charpoly_eval_is_linear_in_the_child_count():
     # star formula t (t-1)^(m-1) (t-m-1) with m = 6000 leaves, at t = 3
     g = build_caterpillar(validate_spec((6000,)))
     start = time.perf_counter()
-    val = lap_charpoly_eval(g, 3)
+    [val] = lap_charpoly_eval(g, [3])
     assert time.perf_counter() - start < 0.25
     assert val == 3 * 2**5999 * (3 - 6001)
 
 
 def test_lap_charpoly_eval_rejects_forests():
     with pytest.raises(ValueError):
-        lap_charpoly_eval(Graph(n=2, edges=()), 1)
+        lap_charpoly_eval(Graph(n=2, edges=()), [1])
 
 
 # -- root isolation -----------------------------------------------------------
