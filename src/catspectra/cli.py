@@ -28,7 +28,7 @@ from math import isfinite
 from .bounds import bounds_report
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
 from .graphs import MAX_DENSE_ORDER
-from .model import CaterpillarSpec, derive_params, fmt4, q_label, validate_spec
+from .model import CaterpillarSpec, LegTooLarge, derive_params, fmt4, q_label, validate_spec
 from .oracle import NonConvergence
 
 EXIT_OK = 0
@@ -292,7 +292,11 @@ def cmd_table(args) -> int:
         except ValueError as exc:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             continue
-        rec = bounds_record(spec)
+        try:
+            rec = bounds_record(spec)
+        except LegTooLarge as exc:
+            print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
+            continue
         hard, soft = verify.compare_reference(spec, rec)
         flags = list(rec["warnings"])
         flags += [f"divergence[{m}]" for m in soft]

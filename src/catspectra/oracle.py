@@ -17,8 +17,7 @@ Four kinds of oracle live here:
   ride beside the matrix, so one batched product turns the rows of both;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
-  polynomial, `exact_det` is fraction-free (Bareiss) elimination, which
-  skips the multiply-subtract on rows already zero below the pivot, and
+  polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
   `lap_charpoly_eval` evaluates det(tI - L) of a tree exactly by leaf
   elimination, division-free, at a whole list of points in one traversal;
 * root counting (`sturm_count`): distinct roots of an integer polynomial in
@@ -366,10 +365,7 @@ def deradicalize(c: StructuredC) -> list[list[int]]:
 def exact_det(m, t: int = 0) -> int:
     """det(M - tI) over the integers by fraction-free (Bareiss) elimination.
 
-    A row whose entry below the pivot is already 0 needs no multiply-subtract:
-    Bareiss's (a[r][c] p - a[r][col] a[col][c]) / prev is then a[r][c] p / prev,
-    still exact.  Column col below the pivot is never read again, so it is
-    left as it is.
+    Column col below the pivot is never read again, so it is left as it is.
     """
     a = [[int(x) for x in row] for row in m]
     n = len(a)
@@ -389,13 +385,9 @@ def exact_det(m, t: int = 0) -> int:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
         p, top = a[col][col], a[col][col + 1:]
-        for r in range(col + 1, n):
-            row = a[r]
+        for row in a[col + 1:]:
             f = row[col]
-            if f:
-                row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], top)]
-            else:
-                row[col + 1:] = [x * p // prev for x in row[col + 1:]]
+            row[col + 1:] = [(x * p - f * y) // prev for x, y in zip(row[col + 1:], top)]
         prev = p
     return sign * a[n - 1][n - 1]
 

@@ -234,16 +234,26 @@ def test_cmd_bounds_answers_on_legs_of_10_to_the_60(capsys):
     ["spectrum", "--q", f"{2**1024},1"],
     ["bounds", "--q", f"{2**1024},1"],
     ["bounds", "--q", f"{10**160},1"],
-    ["table", "--input", "specs.txt"],
-], ids=["spectrum-1e13", "spectrum-2^1024", "bounds-2^1024", "bounds-1e160", "table-2^1024"])
-def test_legs_beyond_the_double_routes_exit_1(tmp_path, monkeypatch, capsys, argv):
+], ids=["spectrum-1e13", "spectrum-2^1024", "bounds-2^1024", "bounds-1e160"])
+def test_legs_beyond_the_double_routes_exit_1(capsys, argv):
     # each printed wrong numbers with exit 0, or crashed with a traceback
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "specs.txt").write_text(f"4,9,0,1\n{2**1024},1\n")
     assert cli.main(argv) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
+def test_cmd_table_skips_legs_beyond_the_double_range(tmp_path, capsys):
+    # such a line crashed the table with a traceback, losing the good rows
+    path = tmp_path / "specs.txt"
+    path.write_text(f"4,9,0,1\n{2**1024},1\n{10**160},1\n")
+    assert cli.main(["table", "--input", str(path)]) == 0
+    cap = capsys.readouterr()
+    lines = cap.out.strip().splitlines()
+    assert lines[0] == cli.CSV_HEADER
+    assert [line.split(";")[0] for line in lines[1:]] == ["(4,9,0,1)"]
+    assert [line.split(":")[0] for line in cap.err.splitlines()] == ["line 2", "line 3"]
+    assert cap.err.count("skipped") == 2
 
 
 def test_cmd_verify_single_spec(capsys):
