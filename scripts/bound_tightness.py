@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         ubc_ratio.append(ubc / rep.mu)
         cardano_wins += ubc < ubt
         rows.append(";".join([
-            q_label(spec.q), str(sum(spec.q) + spec.k), fmt4(rep.mu), fmt4(lb),
+            q_label(spec.q), str(spec.n), fmt4(rep.mu), fmt4(lb),
             fmt4(ubt), fmt4(ubc), fmt4(lb / rep.mu), fmt4(ubt / rep.mu), fmt4(ubc / rep.mu),
         ]))
 

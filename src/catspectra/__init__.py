@@ -19,19 +19,18 @@ from .charpoly import (InaccurateSpectrum, IndexOutOfRange, IntPolynomial,
                        charpoly_p, laplacian_charpoly, laplacian_spectrum,
                        p_minus2, pprime_minus2)
 from .graphs import SpecTooSmall
-from .model import (CaterpillarSpec, DerivedParams, EmptySpec, LegTooLarge,
-                    NegativeLegCount, OrderTooLarge, derive_params,
-                    validate_spec)
+from .model import (CaterpillarSpec, EmptySpec, LegTooLarge, NegativeLegCount,
+                    OrderTooLarge, validate_spec)
 from .oracle import NonConvergence
 
 __all__ = [
     "BoundsReport", "CardanoBound", "CaterpillarSpec", "CubicSolution",
-    "DerivedParams", "EmptySpec", "InaccurateSpectrum", "IndexOutOfRange",
-    "IntPolynomial", "LegTooLarge", "NegativeLegCount", "NonConvergence",
-    "OrderTooLarge", "SpecTooSmall", "TraceBounds", "bounds_report",
-    "bounds_trace", "cardano_roots", "charpoly_p", "derive_params",
-    "laplacian_charpoly", "laplacian_spectrum", "p_minus2", "pprime_minus2",
-    "trace_inv", "trace_inv_deleted", "ub_cardano", "validate_spec",
+    "EmptySpec", "InaccurateSpectrum", "IndexOutOfRange", "IntPolynomial",
+    "LegTooLarge", "NegativeLegCount", "NonConvergence", "OrderTooLarge",
+    "SpecTooSmall", "TraceBounds", "bounds_report", "bounds_trace",
+    "cardano_roots", "charpoly_p", "laplacian_charpoly", "laplacian_spectrum",
+    "p_minus2", "pprime_minus2", "trace_inv", "trace_inv_deleted",
+    "ub_cardano", "validate_spec",
 ]
 
 __version__ = "0.1.0"

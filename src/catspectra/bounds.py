@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, cos, pi, sqrt
 
-from .charpoly import IndexOutOfRange, IntPolynomial, Rational, p_minus2, pprime_minus2
+from .charpoly import IndexOutOfRange, IntPolynomial, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
-from .model import CaterpillarSpec, LegTooLarge, derive_params, require_double_legs, validate_spec
+from .model import CaterpillarSpec, LegTooLarge, require_double_legs, validate_spec
 from .oracle import bisect_doubles, laplacian_count, mu_oracle
 
 
@@ -38,7 +38,7 @@ class CubicSolution:
     where the exact sign test `IntPolynomial.sign_at` of the integer cubic
     confirms it within CUBIC_ROOT_TOL and bisected where it does not.  Pairs
     with a zero leg skip the trigonometry (the answer {q1+q2, 0, -1} is exact)
-    and q1 = q2 = 0 is the zero matrix (flagged degenerate); `method` records
+    and q1 = q2 = 0 is the zero matrix (method "both_zero"); `method` records
     which of the three paths produced the roots.  Both legs positive always
     takes the trigonometric path: there
     -3r = q1^2 + q2^2 - q1 q2 + 2 q1 + 2 q2 + 1 >= 6, so r <= -2 and the
@@ -47,10 +47,6 @@ class CubicSolution:
 
     zetas: tuple[float, float, float]
     method: str     # "trig" | "zero_leg" | "both_zero"; positive legs give r <= -2, always "trig"
-
-    @property
-    def degenerate(self) -> bool:
-        return self.method == "both_zero"
 
     @property
     def sorted_desc(self) -> tuple[float, float, float]:
@@ -151,12 +147,12 @@ def ub_cardano(spec: CaterpillarSpec) -> CardanoBound:
     return CardanoBound(best, best_j, spec.k >= 4 and spec.q[0] != 0 and spec.q[-1] != 0)
 
 
-def trace_inv(spec: CaterpillarSpec) -> Rational:
+def trace_inv(spec: CaterpillarSpec) -> Fraction:
     """tr((2I + C)^-1) = -p'(q; -2) / p(q; -2), exact and strictly positive."""
     return Fraction(-pprime_minus2(spec), p_minus2(spec))
 
 
-def trace_inv_deleted(spec: CaterpillarSpec, i: int) -> Rational:
+def trace_inv_deleted(spec: CaterpillarSpec, i: int) -> Fraction:
     """Same trace for the direct sum left after deleting row/column 2i of C."""
     if not 1 <= i <= spec.k - 1:
         raise IndexOutOfRange(f"deletion index {i} outside 1..{spec.k - 1}")
@@ -167,8 +163,8 @@ def trace_inv_deleted(spec: CaterpillarSpec, i: int) -> Rational:
 class TraceBounds:
     p_minus2: int           # p(q; -2), the exact values lb is derived from
     pprime_minus2: int      # p'(q; -2)
-    lb: Rational
-    ub: Rational | None     # None when k = 1 (no deletable index)
+    lb: Fraction
+    ub: Fraction | None     # None when k = 1 (no deletable index)
     ub_index: int | None
 
 
@@ -193,13 +189,12 @@ def bounds_trace(spec: CaterpillarSpec) -> TraceBounds:
 class BoundsReport:
     q: tuple[int, ...]
     mu: float
-    lb_trace: Rational
-    ub_trace: Rational
+    lb_trace: Fraction
+    ub_trace: Fraction
     ub_trace_index: int
     ub_cardano: float
     ub_cardano_index: int
     paper_valid: bool
-    trace_inv: Rational
     p_minus2: int
     pprime_minus2: int
     warnings: tuple[str, ...]
@@ -213,8 +208,8 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
     iff fewer than two eigenvalues lie below lb_trace, and mu <= ub_trace iff
     at least two lie at or below ub_trace.  The pair bound and the range of
     mu are checked in floats with 1e-8 slack.  The report also carries the
-    exact p(-2), p'(-2) and trace_inv that lb_trace is derived from, so it
-    is the single source of every number a bounds record shows.  Violations
+    exact p(-2) and p'(-2) that lb_trace is derived from, so it is the
+    single source of every number a bounds record shows.  Violations
     are reported in `warnings`, never raised: the report is also the vehicle
     for detecting them.  mu and the pair bound are doubles, so legs without a
     double value raise LegTooLarge.
@@ -225,7 +220,6 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
     mu = mu_oracle(spec)
     tb = bounds_trace(spec)
     cb = ub_cardano(spec)
-    n = derive_params(spec).n
     slack = 1e-8
     warnings = []
     if laplacian_count(spec, tb.lb)[0] > 1:
@@ -236,8 +230,8 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
         warnings.append(f"mu {mu:.6g} exceeds pair upper bound {cb.value:.6g}")
     if not mu > 0:
         warnings.append(f"mu {mu:.6g} not positive")
-    if n >= 3 and mu > 1 + slack:
-        warnings.append(f"mu {mu:.6g} exceeds 1 on {n} >= 3 vertices")
+    if spec.n >= 3 and mu > 1 + slack:
+        warnings.append(f"mu {mu:.6g} exceeds 1 on {spec.n} >= 3 vertices")
     return BoundsReport(
         q=spec.q,
         mu=mu,
@@ -247,7 +241,6 @@ def bounds_report(spec: CaterpillarSpec) -> BoundsReport:
         ub_cardano=cb.value,
         ub_cardano_index=cb.j,
         paper_valid=cb.paper_valid,
-        trace_inv=1 / tb.lb,
         p_minus2=tb.p_minus2,
         pprime_minus2=tb.pprime_minus2,
         warnings=tuple(warnings),

@@ -27,8 +27,10 @@ polynomial.
 
 The full Laplacian characteristic polynomial of the tree is assembled from
 that factor: the line-graph adjacency spectrum is {-1 with multiplicity a}
-together with the spectrum of C', and the Laplacian spectrum is that shifted
-by +2, together with the eigenvalue 0.  C' is never built on its own:
+together with the spectrum of C', so det(mu I - L) = -mu (mu-1)^a
+p(mu-2) / (mu-2)^b, with a and b the counts of `CaterpillarSpec`, and the
+Laplacian spectrum is {0}, {1 with multiplicity a} and the spectrum of C'
+plus 2.  Only the last part is not exact, and C' is never built on its own:
 `laplacian_spectrum` solves the rows and columns of the dense C whose
 `slot_q` is not 0, and `StructuredC.slot_q` is the one record of slot order.
 
@@ -39,18 +41,14 @@ arithmetic; floating point only appears when a spectrum is requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
-from math import sqrt
+from math import comb, sqrt
 from typing import TYPE_CHECKING
 
-from .model import CaterpillarSpec, OrderTooLarge, derive_params, require_double_legs
+from .model import CaterpillarSpec, OrderTooLarge, require_double_legs
 
 if TYPE_CHECKING:
     import numpy as np
-
-# exact rational values (inverse traces and the like) are plain Fractions
-Rational = Fraction
 
 
 class IndexOutOfRange(IndexError):
@@ -61,7 +59,8 @@ class InaccurateSpectrum(ValueError):
     """The dense eigensolve cannot resolve the Laplacian spectrum to SPECTRUM_TOL."""
 
 
-# laplacian_charpoly's (mu - 1)^a product is O(n^2): 1.4 s at n = 2010 (2-vCPU Xeon VM)
+# laplacian_charpoly's cap on the size of its output: the n + 1 coefficients run to
+# about n bits each, about 1 MB of decimal digits at n = 2048
 MAX_LAPLACIAN_ORDER = 2048
 
 # laplacian_spectrum's values are within this of the exact ones, relative to max(1, |value|)
@@ -232,7 +231,7 @@ def charpoly_p(spec: CaterpillarSpec) -> IntPolynomial:
 
     Each of the b zero rows of C contributes one factor lambda.
     """
-    return -IntPolynomial((0,) * derive_params(spec).b + _pruned_det(spec.q, POLY_X).coeffs)
+    return -IntPolynomial((0,) * spec.b + _pruned_det(spec.q, POLY_X).coeffs)
 
 
 def _p_scalar_suffixes(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -301,29 +300,31 @@ def shifted_pruned_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
 
 
 def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
-    """Monic det(mu I - L(T)) assembled from the quotient polynomial.
+    """Monic det(mu I - L(T)) = -mu (mu-1)^a [p(q; mu-2) / (mu-2)^b].
 
-    The nonzero Laplacian eigenvalues are the line-graph adjacency eigenvalues
-    plus 2, so det(mu I - L) = -mu (mu-1)^a [p(q; mu-2) / (mu-2)^b].
-    Trees on more than MAX_LAPLACIAN_ORDER vertices raise OrderTooLarge.
+    (mu-1)^a is one binomial row, multiplied once by -mu times the shifted
+    pruned factor of degree at most 2k - 1.  Trees on more than
+    MAX_LAPLACIAN_ORDER vertices raise OrderTooLarge.
     """
-    d = derive_params(spec)
-    if d.n > MAX_LAPLACIAN_ORDER:
-        raise OrderTooLarge(f"the Laplacian characteristic polynomial has degree n = {d.n}, "
+    n, a = spec.n, spec.a
+    if n > MAX_LAPLACIAN_ORDER:
+        raise OrderTooLarge(f"the Laplacian characteristic polynomial has degree n = {n}, "
                             f"above the cap of {MAX_LAPLACIAN_ORDER}")
-    out = IntPolynomial((0, -1)) * shifted_pruned_charpoly(spec)     # -mu * (...)
-    mu_minus_1 = IntPolynomial((-1, 1))
-    for _ in range(d.a):
-        out = out * mu_minus_1
-    assert out.degree == d.n and out.coeffs[-1] == 1, "assembled charpoly is not monic of degree n"
+    binomial = IntPolynomial(tuple((-1) ** (a - j) * comb(a, j) for j in range(a + 1)))
+    out = IntPolynomial((0, -1)) * shifted_pruned_charpoly(spec) * binomial
+    assert out.degree == n and out.coeffs[-1] == 1, "assembled charpoly is not monic of degree n"
     return out
 
 
-def as_multiset(pairs, tol: float = 1e-9) -> list[tuple[float, int]]:
-    """Sort (value, multiplicity) pairs; merge values within tol of a group's first value."""
+# as_multiset merges values this close to a group's first value
+MERGE_TOL = 1e-9
+
+
+def as_multiset(pairs) -> list[tuple[float, int]]:
+    """Sort (value, multiplicity) pairs; merge values within MERGE_TOL of a group's first value."""
     out: list[list] = []
     for v, m in sorted(pairs, key=lambda pair: pair[0]):
-        if out and abs(v - out[-1][0]) <= tol:
+        if out and abs(v - out[-1][0]) <= MERGE_TOL:
             out[-1][1] += m
         else:
             out.append([v, m])
@@ -353,27 +354,33 @@ def _certify_spectrum(spec: CaterpillarSpec, pairs) -> None:
 
 
 def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
-    """Laplacian spectrum as (eigenvalue, multiplicity) pairs.
+    """Laplacian spectrum as (eigenvalue, multiplicity) pairs, (0.0, 1) first.
 
-    {0} union {1 with multiplicity a, one pair} union (spectrum of the pruned C, + 2).
-    Every value is within SPECTRUM_TOL max(1, |value|) of its exact eigenvalue,
-    or InaccurateSpectrum is raised.  Jacobi's eigenvectors V are orthonormal,
-    so V^T C' V is the diagonal of its values plus V^T R, R = C'V - V diag, and
-    by Weyl's inequality the sorted values are within ||R||_2 <= dim max|R| of
-    C''s; when that bound is above SPECTRUM_TOL (legs of about 10^7 and more)
-    the exact count on the tree certifies them instead.  Legs without a double
-    value raise LegTooLarge.
+    {0} union {1 with multiplicity a} union (spectrum of the pruned C, + 2).
+    0 and 1 are exact: (0.0, 1) is never merged with a Jacobi value, and when
+    a > 0 the Jacobi values within MERGE_TOL of 1 join (1.0, a), which keeps
+    its exact value.  The other Jacobi values are grouped by `as_multiset`.
+    Every value is within SPECTRUM_TOL max(1, |value|) of its exact
+    eigenvalue, or InaccurateSpectrum is raised.  Jacobi's eigenvectors V are
+    orthonormal, so V^T C' V is the diagonal of its values plus V^T R,
+    R = C'V - V diag, and by Weyl's inequality the sorted values are within
+    ||R||_2 <= dim max|R| of C''s; when that bound is above SPECTRUM_TOL
+    (legs of about 10^7 and more) the exact count on the tree certifies them
+    instead.  Legs without a double value raise LegTooLarge.
     """
     from .oracle import sym_eigs   # deferred: oracle imports this module's types
 
     require_double_legs(spec)
-    d = derive_params(spec)
     c = build_C(spec)
     keep = [s for s, qs in enumerate(c.slot_q) if qs != 0]     # C' drops the q_i = 0 leg slots
-    pairs = [(0.0, 1)] + ([(1.0, d.a)] if d.a else [])
+    ones = [(1.0, spec.a)] if spec.a else []
+    values = []
     if keep:
         res = sym_eigs(c.to_dense()[keep][:, keep])
-        pairs.extend((float(v) + 2.0, 1) for v in res.values)
+        values = [float(v) + 2.0 for v in res.values]
         if len(keep) * res.residual > SPECTRUM_TOL:
-            _certify_spectrum(spec, pairs)
-    return as_multiset(pairs)
+            _certify_spectrum(spec, [(0.0, 1)] + ones + [(v, 1) for v in values])
+    if ones:    # the Jacobi values that round-off moved off the exact 1 join its block
+        ones = [(1.0, spec.a + sum(abs(v - 1.0) <= MERGE_TOL for v in values))]
+        values = [v for v in values if abs(v - 1.0) > MERGE_TOL]
+    return [(0.0, 1)] + as_multiset(ones + [(v, 1) for v in values])

@@ -28,7 +28,7 @@ from math import isfinite
 from .bounds import bounds_report
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
 from .graphs import MAX_DENSE_ORDER
-from .model import CaterpillarSpec, LegTooLarge, derive_params, fmt4, q_label, validate_spec
+from .model import CaterpillarSpec, LegTooLarge, fmt4, q_label, validate_spec
 from .oracle import NonConvergence
 
 EXIT_OK = 0
@@ -51,13 +51,12 @@ def parse_q(text: str) -> CaterpillarSpec:
 # ---------------------------------------------------------------------------
 
 def spectrum_record(spec: CaterpillarSpec) -> dict:
-    d = derive_params(spec)
     lap = laplacian_spectrum(spec)
-    line = [(v - 2.0, m) for v, m in lap if abs(v) > 1e-9]
+    line = [(v - 2.0, m) for v, m in lap[1:]]     # every pair after the exact (0.0, 1)
     return {
         "kind": "spectrum",
         "q": list(spec.q),
-        "n": d.n,
+        "n": spec.n,
         "laplacian": [[float(v), int(m)] for v, m in lap],
         "linegraph": [[float(v), int(m)] for v, m in line],
         "warnings": [],
@@ -254,9 +253,8 @@ def cmd_verify(args) -> int:
         print("verify needs --q or --random N", file=sys.stderr)
         return EXIT_USAGE
     for spec in specs:      # refused up front: the dense checks would stop the run midway
-        n = derive_params(spec).n
-        if n > MAX_DENSE_ORDER:
-            print(f"verify T{q_label(spec.q)}: the tree has {n} vertices, above the dense cap "
+        if spec.n > MAX_DENSE_ORDER:
+            print(f"verify T{q_label(spec.q)}: the tree has {spec.n} vertices, above the dense cap "
                   f"of {MAX_DENSE_ORDER}", file=sys.stderr)
             return EXIT_USAGE
     failures, notes = run_verify(specs, args.tol)

@@ -1,10 +1,11 @@
-"""Caterpillar specifications and derived counting parameters.
+"""Caterpillar specifications and the counts the paper's factorization uses.
 
 A caterpillar T(q_1, ..., q_k) is the tree obtained from a path on k spine
 vertices by attaching q_i pendant legs to the i-th spine vertex.  Everything
 downstream (quotient matrices, polynomial recursions, bounds) is driven by the
-leg-count vector q and a handful of integers derived from it, which the
-report formatters q_label and fmt4 below share with the CLI and `verify`.
+leg-count vector q and the counts n, a and b read off it, here and nowhere
+else.  The report formatters q_label and fmt4 below are shared by the CLI and
+`verify`.
 """
 
 from __future__ import annotations
@@ -34,40 +35,50 @@ class LegTooLarge(ValueError):
 class CaterpillarSpec:
     """Validated leg-count vector.
 
-    canonical is True when the tree is a caterpillar in the strict sense
-    (k >= 2 spine vertices and order n >= 5); degenerate specs (stars, bare
-    paths) are still accepted because the polynomial machinery is defined for
-    them and they make good oracle test cases.
+    With a the multiplicity of -1 in the line-graph spectrum and b the number
+    of zero-leg rows of C, det(mu I - L) = -mu (mu-1)^a p(mu-2) / (mu-2)^b.
     """
 
     q: tuple[int, ...]
-    canonical: bool
 
     @property
     def k(self) -> int:
         return len(self.q)
 
+    @property
+    def n(self) -> int:
+        """Tree order, sum(q) + k."""
+        return sum(self.q) + len(self.q)
 
-@dataclass(frozen=True)
-class DerivedParams:
-    delta: tuple[int, ...]   # delta[i] = 1 iff q[i] > 0
-    qplus: tuple[int, ...]   # qplus[i] = max(1, q[i]), so qplus[i]-1 = max(0, q[i]-1)
-    n: int                   # tree order, sum(q) + k
-    a: int                   # sum(q[i] - delta[i]); multiplicity of -1 in the line-graph spectrum
-    b: int                   # k - sum(delta); number of leg slots of C that are identically zero
-    dim_c: int               # 2k - 1, order of the quotient matrix C
+    @property
+    def a(self) -> int:
+        """Legs beyond the first at each spine vertex: sum of q_i - 1 over q_i > 0."""
+        return sum(x - 1 for x in self.q if x)
+
+    @property
+    def b(self) -> int:
+        """Zero legs, each an all-zero row of C."""
+        return self.q.count(0)
+
+    @property
+    def canonical(self) -> bool:
+        """A caterpillar in the strict sense: k >= 2 and n >= 5.
+
+        Degenerate specs (stars, bare paths) are still accepted because the
+        polynomial machinery is defined for them and they make good oracle
+        test cases.
+        """
+        return self.k >= 2 and self.n >= 5
 
 
 def validate_spec(q: Sequence[int]) -> CaterpillarSpec:
-    """Check a leg-count vector and tag whether it is a canonical caterpillar."""
+    """Check a leg-count vector: at least one spine vertex, no negative count."""
     qt = tuple(int(x) for x in q)
     if len(qt) == 0:
         raise EmptySpec("need at least one spine vertex")
     if any(x < 0 for x in qt):
         raise NegativeLegCount(f"leg counts must be >= 0, got {qt}")
-    k = len(qt)
-    n = sum(qt) + k
-    return CaterpillarSpec(q=qt, canonical=(k >= 2 and n >= 5))
+    return CaterpillarSpec(q=qt)
 
 
 def require_double_legs(spec: CaterpillarSpec) -> None:
@@ -77,17 +88,6 @@ def require_double_legs(spec: CaterpillarSpec) -> None:
     except OverflowError:
         raise LegTooLarge(f"a leg count of {max(spec.q).bit_length()} bits has no double value, "
                           f"and this route computes in doubles") from None
-
-
-def derive_params(spec: CaterpillarSpec) -> DerivedParams:
-    q = spec.q
-    k = len(q)
-    delta = tuple(1 if x > 0 else 0 for x in q)
-    qplus = tuple(max(1, x) for x in q)
-    n = sum(q) + k
-    a = sum(x - d for x, d in zip(q, delta))
-    b = k - sum(delta)
-    return DerivedParams(delta=delta, qplus=qplus, n=n, a=a, b=b, dim_c=2 * k - 1)
 
 
 def q_label(q) -> str:

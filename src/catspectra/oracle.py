@@ -317,7 +317,7 @@ def mu_oracle(spec: CaterpillarSpec) -> float:
     bisected again with the exact count.  One more exact count at the
     bracket's midpoint picks the nearer double.
     """
-    if spec.k + sum(spec.q) < 2:
+    if spec.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
 
     def past_mu(x) -> bool:     # mu <= x iff the eigenvalues 0 and mu are both <= x

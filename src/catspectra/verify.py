@@ -142,7 +142,7 @@ def _ck_scalar_vs_poly(spec, tol):
 
 def _ck_laplacian_charpoly(spec, tol):
     poly = charpoly.laplacian_charpoly(spec)
-    ts = range(0, model.derive_params(spec).n + 1)
+    ts = range(0, spec.n + 1)
     for t, det in zip(ts, oracle.lap_charpoly_eval(graphs.build_caterpillar(spec), ts)):
         if det != poly(t):
             return f"laplacian_charpoly disagrees with the tree determinant at t={t}"

@@ -28,7 +28,7 @@ from catspectra.charpoly import (
     shifted_pruned_charpoly,
 )
 from catspectra.graphs import build_caterpillar, line_graph, matrices
-from catspectra.model import derive_params, validate_spec
+from catspectra.model import validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
 from catspectra.verify import random_specs
 
@@ -91,9 +91,9 @@ def _wiener_trace(q):
                     dist[v] = dist[u] + 1
                     queue.append(v)
         total += sum(dist)
-    d = derive_params(validate_spec(q))
-    assert n == d.n
-    return Fraction(total // 2, n) - d.a + Fraction(d.b, 2)
+    spec = validate_spec(q)
+    assert n == spec.n
+    return Fraction(total // 2, n) - spec.a + Fraction(spec.b, 2)
 
 
 def _expand(pairs):
@@ -204,7 +204,6 @@ def test_criterion_4_formula_vs_oracle_on_random_specs():
     failures = []
     for spec in SAMPLE:
         q = spec.q
-        d = derive_params(spec)
         g = build_caterpillar(spec)
 
         # charpoly_p == de-radicalized integer determinant at 2k points, exact
@@ -217,14 +216,14 @@ def test_criterion_4_formula_vs_oracle_on_random_specs():
 
         # laplacian_charpoly == explicit-Laplacian oracle, integer residual 0
         lpoly = laplacian_charpoly(spec)
-        ts = range(d.n + 1)
+        ts = range(spec.n + 1)
         if lap_charpoly_eval(g, ts) != [lpoly(t) for t in ts]:
             failures.append(f"T{q}: laplacian_charpoly != tree determinant")
 
         # assembled spectrum vs dense sigma(L), entrywise
         dense_l = _eigs("L", q)
         got = _expand(laplacian_spectrum(spec))
-        if len(got) != d.n or np.abs(got - dense_l).max() > 1e-8:
+        if len(got) != spec.n or np.abs(got - dense_l).max() > 1e-8:
             failures.append(f"T{q}: laplacian_spectrum vs dense sigma(L)")
 
         # bipartite coincidence sigma(L) == sigma(Q)
@@ -264,7 +263,7 @@ def test_criterion_5_bound_sandwich_and_interlacing():
             failures.append(f"T{q}: mu {mu:.8f} not positive")
         # mu <= 1 holds for trees with at least two edges; the one k >= 2
         # spec below that is T(0,0) = a single edge, whose mu is 2
-        if derive_params(spec).n >= 3 and mu > 1 + slack:
+        if spec.n >= 3 and mu > 1 + slack:
             failures.append(f"T{q}: mu {mu:.8f} > 1")
 
         full = np.sort(_eigs("C", q))[::-1]
@@ -320,9 +319,9 @@ def test_criterion_8_zero_leg_divisibility():
         if 0 not in q:
             continue
         spec = validate_spec(q)
-        d = derive_params(spec)
+        b = spec.b
         # each zero row of C contributes one factor lambda to p
-        assert charpoly_p(spec).coeffs[:d.b] == (0,) * d.b, f"T{q}: lambda^{d.b} does not divide p"
+        assert charpoly_p(spec).coeffs[:b] == (0,) * b, f"T{q}: lambda^{b} does not divide p"
         # the rest is the pruned C's polynomial, against Bareiss on the pruned C
         poly = shifted_pruned_charpoly(spec)
         # the pruned C: the integer C without the q_i = 0 leg slots
@@ -330,6 +329,6 @@ def test_criterion_8_zero_leg_divisibility():
         keep, full = [s for s, qs in enumerate(c.slot_q) if qs != 0], deradicalize(c)
         pruned = [[full[r][s] for s in keep] for r in keep]
         for mu in range(-1, 2 * spec.k + 1):
-            assert poly(mu) == (-1) ** d.b * exact_det(pruned, mu - 2), f"T{q} at mu = {mu}"
-        assert laplacian_charpoly(spec).degree == d.n
+            assert poly(mu) == (-1) ** b * exact_det(pruned, mu - 2), f"T{q} at mu = {mu}"
+        assert laplacian_charpoly(spec).degree == spec.n
         checked += 1

@@ -56,7 +56,7 @@ def test_cardano_zero_leg_pair():
 
 def test_cardano_both_zero_is_degenerate():
     sol = cardano_roots(0, 0)
-    assert sol.degenerate
+    assert sol.method == "both_zero"
     assert sol.zetas == (0.0, 0.0, 0.0)
 
 
@@ -208,7 +208,7 @@ def test_bounds_report_worked_example(worked_spec):
     assert rep.ub_trace_index == 1
     assert rep.ub_cardano_index == 1
     assert rep.paper_valid
-    assert rep.trace_inv == Fraction(191, 18)
+    assert Fraction(-rep.pprime_minus2, rep.p_minus2) == Fraction(191, 18)
     assert rep.warnings == ()
 
 
@@ -218,8 +218,7 @@ def test_bounds_report_carries_the_exact_values_at_minus2(spec):
     rep = bounds_report(spec)
     assert rep.p_minus2 == p_minus2(spec)
     assert rep.pprime_minus2 == pprime_minus2(spec)
-    assert rep.trace_inv == Fraction(-rep.pprime_minus2, rep.p_minus2)
-    assert rep.lb_trace == 1 / rep.trace_inv
+    assert rep.lb_trace == Fraction(rep.p_minus2, -rep.pprime_minus2)
 
 
 def test_bounds_report_is_tight_on_the_path(path_spec):

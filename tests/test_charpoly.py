@@ -3,6 +3,7 @@ the prefix recurrence for det(C - xI), the scalar suffix recursion for its
 value and derivative at -2, and the assembled Laplacian characteristic
 polynomial."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from catspectra import charpoly
 from catspectra.charpoly import (
     MAX_LAPLACIAN_ORDER,
+    MERGE_TOL,
     SPECTRUM_TOL,
     InaccurateSpectrum,
     IntPolynomial,
@@ -28,7 +30,7 @@ from catspectra.charpoly import (
     pprime_minus2,
     shifted_pruned_charpoly,
 )
-from catspectra.model import LegTooLarge, derive_params, validate_spec
+from catspectra.model import LegTooLarge, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
 from catspectra.graphs import build_caterpillar
 
@@ -42,6 +44,16 @@ extreme_specs = st.lists(st.sampled_from((0, 1, 2, 3, 5, 9, 10**6, 10**9)),
 def kept_slots(spec):
     """The slots of C that the pruned C' keeps: all but the q_i = 0 leg slots."""
     return [s for s, qs in enumerate(build_C(spec).slot_q) if qs != 0]
+
+
+def expanded_grouping(spec, pruned_values):
+    """The spectrum as (0.0, 1) and single copies: a copies of 1.0, and each value
+    of the pruned C plus 2, set to 1.0 when a > 0 and it is within MERGE_TOL of 1."""
+    vals = [1.0] * spec.a
+    for v in pruned_values:
+        v = float(v) + 2.0
+        vals.append(1.0 if spec.a and abs(v - 1.0) <= MERGE_TOL else v)
+    return [(0.0, 1)] + as_multiset([(v, 1) for v in vals])
 
 
 int_polys = st.lists(
@@ -153,9 +165,8 @@ def test_prune_zero_worked_example(worked_spec):
                        [0, 0, 0, 1, 0, 1],
                        [0, 0, 0, 0, 1, 0]], dtype=float)
     assert np.array_equal(build_C(worked_spec).to_dense()[np.ix_(keep, keep)], pruned)
-    vals = [0.0] + [1.0] * derive_params(worked_spec).a
-    vals += [float(v) + 2.0 for v in sym_eigs(pruned).values]
-    assert laplacian_spectrum(worked_spec) == as_multiset([(v, 1) for v in vals])
+    want = expanded_grouping(worked_spec, sym_eigs(pruned).values)
+    assert laplacian_spectrum(worked_spec) == want
 
 
 @given(extreme_specs)
@@ -251,11 +262,10 @@ def test_laplacian_charpoly_star():
 @settings(max_examples=25)
 def test_laplacian_charpoly_matches_tree_determinant(spec):
     poly = laplacian_charpoly(spec)
-    d = derive_params(spec)
-    assert poly.degree == d.n
+    assert poly.degree == spec.n
     assert poly.coeffs[-1] == 1
     assert poly.coeffs[0] == 0
-    ts = range(d.n + 1)
+    ts = range(spec.n + 1)
     assert lap_charpoly_eval(build_caterpillar(spec), ts) == [poly(t) for t in ts]
 
 
@@ -264,7 +274,7 @@ def test_laplacian_charpoly_matches_tree_determinant(spec):
 def test_zero_leg_division_is_exact(spec):
     # every q_i = 0 contributes one factor lambda to p, and what is left is
     # the pruned C's polynomial: checked against Bareiss on the pruned C
-    b = derive_params(spec).b
+    b = spec.b
     assert charpoly_p(spec).coeffs[:b] == (0,) * b
     poly = shifted_pruned_charpoly(spec)
     keep, full = kept_slots(spec), deradicalize(build_C(spec))
@@ -276,11 +286,12 @@ def test_zero_leg_division_is_exact(spec):
 # -- spectra ----------------------------------------------------------------
 
 def test_as_multiset_groups_near_values():
-    ms = as_multiset([(1.0, 1), (1.0 + 1e-12, 1), (0.0, 1), (2.5, 1)], tol=1e-9)
+    ms = as_multiset([(1.0, 1), (1.0 + 1e-12, 1), (0.0, 1), (2.5, 1)])
     assert ms == [(0.0, 1), (1.0, 2), (2.5, 1)]
     # multiplicities add up, and a group keeps its smallest value
-    ms = as_multiset([(1.0, 7), (1.0 - 1e-12, 1), (0.0, 1)], tol=1e-9)
+    ms = as_multiset([(1.0, 7), (1.0 - 1e-12, 1), (0.0, 1)])
     assert ms == [(0.0, 1), (1.0 - 1e-12, 8)]
+    assert as_multiset([(1.0, 1), (1.0 + 2 * MERGE_TOL, 1)]) == [(1.0, 1), (1.0 + 2 * MERGE_TOL, 1)]
 
 
 def test_laplacian_spectrum_star():
@@ -306,6 +317,9 @@ def test_laplacian_spectrum_values_are_plain_floats(worked_spec):
 def test_laplacian_spectrum_merges_the_block_at_one():
     # T(3,0): a = 2 ones from the legs, and the pruned C adds its eigenvalue -1 (+ 2 = 1)
     assert laplacian_spectrum(validate_spec((3, 0))) == [(0.0, 1), (1.0, 3), (5.0, 1)]
+    # T(6,1,0,4,0): a = 8, and Jacobi puts the pruned C's -1 at 0.9999999999999993;
+    # the block keeps its exact value 1.0
+    assert (1.0, 9) in laplacian_spectrum(validate_spec((6, 1, 0, 4, 0)))
 
 
 def test_laplacian_spectrum_memory_does_not_grow_with_legs():
@@ -333,7 +347,7 @@ def test_laplacian_spectrum_on_huge_legs_is_within_its_tolerance(q):
     # legs this large make Jacobi's residual bound too loose, so the exact count certifies
     spec = validate_spec(q)
     ms = laplacian_spectrum(spec)
-    assert sum(m for _, m in ms) == derive_params(spec).n
+    assert sum(m for _, m in ms) == spec.n
     assert abs(ms[1][0] - mu_oracle(spec)) <= SPECTRUM_TOL
 
 
@@ -347,11 +361,8 @@ def test_laplacian_spectrum_refuses_legs_without_a_double_value():
 def test_laplacian_spectrum_equals_the_expanded_grouping(spec):
     # the block at 1 as one (1.0, a) pair groups exactly like a copies of 1.0
     keep = kept_slots(spec)
-    vals = [0.0] + [1.0] * derive_params(spec).a
-    if keep:
-        pruned = build_C(spec).to_dense()[np.ix_(keep, keep)]
-        vals += [float(v) + 2.0 for v in sym_eigs(pruned).values]
-    assert laplacian_spectrum(spec) == as_multiset([(v, 1) for v in vals])
+    values = sym_eigs(build_C(spec).to_dense()[np.ix_(keep, keep)]).values if keep else []
+    assert laplacian_spectrum(spec) == expanded_grouping(spec, values)
 
 
 def test_laplacian_charpoly_order_cap(monkeypatch, worked_spec):
@@ -367,9 +378,37 @@ def test_laplacian_charpoly_order_cap(monkeypatch, worked_spec):
 @given(specs())
 @settings(max_examples=20)
 def test_laplacian_spectrum_shape(spec):
-    d = derive_params(spec)
     ms = laplacian_spectrum(spec)
-    assert sum(m for _, m in ms) == d.n
-    assert ms[0][0] == 0.0
-    if d.a:
-        assert any(abs(v - 1.0) <= 1e-9 and m >= d.a for v, m in ms)
+    assert sum(m for _, m in ms) == spec.n
+    assert ms[0] == (0.0, 1)
+    if spec.a:
+        assert any(v == 1.0 and m >= spec.a for v, m in ms)
+
+
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 6, 10**6, 10**9)), min_size=1, max_size=8))
+@example([6, 1, 0, 4, 0])
+@example([10**9, 3, 0, 7] * 2)
+@settings(max_examples=40)
+def test_counts_and_spectrum_follow_the_factorization(q):
+    spec = validate_spec(q)
+    if max(q) <= 6:     # a leg of 10^6 makes the tree too large to build
+        g = build_caterpillar(spec)     # spine vertices 1..k, then the pendants
+        legs = [sum(1 for u, w in g.edges if u == i and w > spec.k) for i in range(1, spec.k + 1)]
+        assert (spec.n, spec.a, spec.b) == (g.n, sum(max(x - 1, 0) for x in legs), legs.count(0))
+    try:
+        ms = laplacian_spectrum(spec)
+    except InaccurateSpectrum:      # a refusal, not a spectrum: Jacobi misses some 10^9 legs
+        return
+    assert ms[0] == (0.0, 1)
+    assert sum(m for _, m in ms) == spec.n
+
+
+def test_laplacian_charpoly_is_one_binomial_row_times_the_pruned_factor():
+    spec = validate_spec((2000,))
+    start = time.perf_counter()
+    poly = laplacian_charpoly(spec)
+    assert time.perf_counter() - start < 0.5
+    want = list((IntPolynomial((0, -1)) * shifted_pruned_charpoly(spec)).coeffs)
+    for _ in range(spec.a):     # times (mu - 1), one factor at a time
+        want = [lo - hi for lo, hi in zip([0] + want, want + [0])]
+    assert poly.coeffs == tuple(want)

@@ -158,6 +158,15 @@ def test_cmd_spectrum_prints_a_round_off_zero_without_its_sign(capsys):
     assert ";lineA;0.0000;1" in out
 
 
+def test_cmd_spectrum_json_keeps_the_zero_exact_on_huge_legs(capsys):
+    # eight eigenvalues of T((10^9,3,0,7) x 16) lie below 1e-9; none joins the 0
+    q = ",".join(["1000000000,3,0,7"] * 16)
+    assert cli.main(["spectrum", "--q", q, "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["laplacian"][0] == [0.0, 1]
+    assert sum(m for _, m in rec["linegraph"]) == rec["n"] - 1 == 16 * (10**9 + 10) + 63
+
+
 def test_cmd_charpoly_text(capsys):
     assert cli.main(["charpoly", "--q", "4,9", "--of", "C"]) == 0
     assert "[-59, -11, 11, -1]" in capsys.readouterr().out

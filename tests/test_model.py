@@ -1,10 +1,10 @@
-"""Tests for spec validation and derived counting parameters."""
+"""Tests for spec validation and the counts n, a and b read off the spec."""
 
 import pytest
 from hypothesis import given
 
-from catspectra.model import (EmptySpec, LegTooLarge, NegativeLegCount, derive_params,
-                              require_double_legs, validate_spec)
+from catspectra.model import (EmptySpec, LegTooLarge, NegativeLegCount, require_double_legs,
+                              validate_spec)
 
 from conftest import leg_counts
 
@@ -49,36 +49,25 @@ def test_validate_rejects_empty():
 
 
 def test_derived_params_worked_example():
-    p = derive_params(validate_spec((4, 9, 0, 1)))
-    assert p.delta == (1, 1, 0, 1)
-    assert p.qplus == (4, 9, 1, 1)
-    assert p.n == 18
-    assert p.a == 11
-    assert p.b == 1
-    assert p.dim_c == 7
+    spec = validate_spec((4, 9, 0, 1))
+    assert (spec.n, spec.a, spec.b) == (18, 11, 1)
 
 
 def test_derived_params_all_zero_legs():
-    p = derive_params(validate_spec((0, 0, 0)))
-    assert p.n == 3
-    assert p.a == 0
-    assert p.b == 3
-    assert p.dim_c == 5
+    spec = validate_spec((0, 0, 0))
+    assert (spec.n, spec.a, spec.b) == (3, 0, 3)
 
 
 @given(leg_counts())
 def test_derived_identities(q):
     spec = validate_spec(q)
-    p = derive_params(spec)
     k = len(q)
-    assert p.n == sum(q) + k
-    assert p.dim_c == 2 * k - 1
+    assert spec.n == sum(q) + k
     # a counts legs beyond the first at each spine vertex, b counts bare ones
-    assert p.a == sum(x - 1 for x in q if x > 0)
-    assert p.b == sum(1 for x in q if x == 0)
-    assert p.a + p.b + sum(p.delta) == sum(q) + sum(1 for x in q if x == 0)
-    assert all(qp == max(1, x) for qp, x in zip(p.qplus, q))
-    assert spec.canonical == (k >= 2 and p.n >= 5)
+    assert spec.a == sum(x - 1 for x in q if x > 0)
+    assert spec.b == sum(1 for x in q if x == 0)
+    assert spec.a + (k - spec.b) == sum(q)
+    assert spec.canonical == (k >= 2 and spec.n >= 5)
 
 
 def test_require_double_legs_stops_where_float_overflows():
