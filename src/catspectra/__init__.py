@@ -15,9 +15,8 @@ and the graph builders stay importable from `oracle`, `charpoly` and
 from .bounds import (BoundsReport, CardanoBound, CubicSolution, TraceBounds,
                      bounds_report, bounds_trace, cardano_roots, trace_inv,
                      trace_inv_deleted, ub_cardano)
-from .charpoly import (InaccurateSpectrum, IndexOutOfRange, IntPolynomial,
-                       charpoly_p, laplacian_charpoly, laplacian_spectrum,
-                       p_minus2, pprime_minus2)
+from .charpoly import (IndexOutOfRange, IntPolynomial, charpoly_p, laplacian_charpoly,
+                       laplacian_spectrum, p_minus2, pprime_minus2)
 from .graphs import SpecTooSmall
 from .model import (CaterpillarSpec, EmptySpec, LegTooLarge, NegativeLegCount,
                     OrderTooLarge, validate_spec)
@@ -25,8 +24,8 @@ from .oracle import NonConvergence
 
 __all__ = [
     "BoundsReport", "CardanoBound", "CaterpillarSpec", "CubicSolution",
-    "EmptySpec", "InaccurateSpectrum", "IndexOutOfRange", "IntPolynomial",
-    "LegTooLarge", "NegativeLegCount", "NonConvergence", "OrderTooLarge",
+    "EmptySpec", "IndexOutOfRange", "IntPolynomial", "LegTooLarge",
+    "NegativeLegCount", "NonConvergence", "OrderTooLarge",
     "SpecTooSmall", "TraceBounds", "bounds_report", "bounds_trace",
     "cardano_roots", "charpoly_p", "laplacian_charpoly", "laplacian_spectrum",
     "p_minus2", "pprime_minus2", "trace_inv", "trace_inv_deleted",

@@ -14,7 +14,7 @@ smallest eigenvalue plus 2 is the algebraic connectivity mu:
 The trace quantities never touch floating point; only the final report
 renders reals.  The report checks both trace bounds against mu exactly, by
 counting the Laplacian eigenvalues of the tree below each bound
-(`oracle.laplacian_count`).
+(`model.laplacian_count`).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from math import atan2, cos, pi, sqrt
 
 from .charpoly import IndexOutOfRange, IntPolynomial, p_minus2, pprime_minus2
 from .graphs import SpecTooSmall
-from .model import CaterpillarSpec, LegTooLarge, require_double_legs, validate_spec
-from .oracle import bisect_doubles, laplacian_count, mu_oracle
+from .model import (CaterpillarSpec, LegTooLarge, bisect_doubles, laplacian_count,
+                    require_double_legs, validate_spec)
+from .oracle import mu_oracle
 
 
 @dataclass(frozen=True)

@@ -30,22 +30,21 @@ that factor: the line-graph adjacency spectrum is {-1 with multiplicity a}
 together with the spectrum of C', so det(mu I - L) = -mu (mu-1)^a
 p(mu-2) / (mu-2)^b, with a and b the counts of `CaterpillarSpec`, and the
 Laplacian spectrum is {0}, {1 with multiplicity a} and the spectrum of C'
-plus 2.  Only the last part is not exact, and C' is never built on its own:
-`laplacian_spectrum` solves the rows and columns of the dense C whose
-`slot_q` is not 0, and `StructuredC.slot_q` is the one record of slot order.
-
-Everything in this module is arbitrary-precision integer (or Fraction)
-arithmetic; floating point only appears when a spectrum is requested.
+plus 2, which `laplacian_spectrum` counts out of the same recurrence.
+Everything is exact integer (or Fraction) arithmetic, except the float
+counts and determinants that steer the spectrum's search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
-from math import comb, sqrt
+from math import comb, inf, isfinite, nextafter, sqrt
 from typing import TYPE_CHECKING
 
-from .model import CaterpillarSpec, OrderTooLarge, require_double_legs
+from .model import (CaterpillarSpec, LegTooLarge, OrderTooLarge, _inertia, bisect_doubles,
+                    laplacian_count, nearest_double, require_double_legs)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,16 +54,12 @@ class IndexOutOfRange(IndexError):
     """Deletion index outside 1..k-1."""
 
 
-class InaccurateSpectrum(ValueError):
-    """The dense eigensolve cannot resolve the Laplacian spectrum to SPECTRUM_TOL."""
-
-
 # laplacian_charpoly's cap on the size of its output: the n + 1 coefficients run to
 # about n bits each, about 1 MB of decimal digits at n = 2048
 MAX_LAPLACIAN_ORDER = 2048
 
-# laplacian_spectrum's values are within this of the exact ones, relative to max(1, |value|)
-SPECTRUM_TOL = 1e-6
+# laplacian_spectrum's cap on the order of the pruned C', where it takes about 10 s
+MAX_SPECTRUM_ORDER = 599
 
 
 # ---------------------------------------------------------------------------
@@ -316,71 +311,88 @@ def laplacian_charpoly(spec: CaterpillarSpec) -> IntPolynomial:
     return out
 
 
-# as_multiset merges values this close to a group's first value
-MERGE_TOL = 1e-9
+def _above(q: tuple[int, ...], y: Fraction) -> int:
+    """The number of eigenvalues of the pruned C' above a non-integer rational y.
 
-
-def as_multiset(pairs) -> list[tuple[float, int]]:
-    """Sort (value, multiplicity) pairs; merge values within MERGE_TOL of a group's first value."""
-    out: list[list] = []
-    for v, m in sorted(pairs, key=lambda pair: pair[0]):
-        if out and abs(v - out[-1][0]) <= MERGE_TOL:
-            out[-1][1] += m
-        else:
-            out.append([v, m])
-    return [(v, m) for v, m in out]
-
-
-def _certify_spectrum(spec: CaterpillarSpec, pairs) -> None:
-    """Raise InaccurateSpectrum unless every value of the (value, multiplicity)
-    pairs lies within SPECTRUM_TOL max(1, |value|) of the Laplacian eigenvalues
-    it stands for.
-
-    With lambda_1 <= ... <= lambda_n the exact eigenvalues, a value v standing
-    for lambda_{j+1} .. lambda_{j+m} is certified to within d when fewer than
-    j + 1 of them lie below v - d and at least j + m at or below v + d, both
-    by the exact count on the tree (`oracle.laplacian_count`).
+    The recurrence's prefix values 1, A_1, B_1, ..., A_k (a zero leg adds only
+    its B_i) are the leading principal minors of yI - C', whose sign changes
+    count its negative eigenvalues (Sylvester's law of inertia; Barth, Martin
+    and Wilkinson, Numer. Math. 9, 1967).  Each is a monic integer polynomial
+    in y, so none vanishes, and at y = n/d each is scaled by d^(its order) to
+    stay an integer.
     """
-    from .oracle import laplacian_count
-
-    j = 0
-    for v, m in sorted(pairs):
-        d = SPECTRUM_TOL * max(1.0, abs(v))
-        below, at = laplacian_count(spec, v + d)
-        if laplacian_count(spec, v - d)[0] > j or below + at < j + m:
-            raise InaccurateSpectrum(f"the dense eigensolve is off by more than {d:.3g} near "
-                                     f"{v:.6g}; the leg counts are too large for it")
-        j += m
+    n, d = y.as_integer_ratio()
+    dd = d * d
+    a, b, changes = 0, 1, 0
+    for qi in q:
+        if qi:
+            y_d = n - (qi - 1) * d
+            a_prev, a = a, y_d * b - qi * dd * a
+            changes += (a < 0) != (b < 0)
+            b_next = n * a - qi * dd * b - (y_d + 2 * qi * d) * dd * a_prev
+        else:
+            a, b_next = b, n * b - dd * a
+        changes += (b_next < 0) != (a < 0)
+        b = b_next
+    return changes - ((b < 0) != (a < 0))      # B_k is no minor
 
 
 def laplacian_spectrum(spec: CaterpillarSpec) -> list[tuple[float, int]]:
-    """Laplacian spectrum as (eigenvalue, multiplicity) pairs, (0.0, 1) first.
+    """Laplacian spectrum as ascending (eigenvalue, multiplicity) pairs, (0.0, 1) first.
 
-    {0} union {1 with multiplicity a} union (spectrum of the pruned C, + 2).
-    0 and 1 are exact: (0.0, 1) is never merged with a Jacobi value, and when
-    a > 0 the Jacobi values within MERGE_TOL of 1 join (1.0, a), which keeps
-    its exact value.  The other Jacobi values are grouped by `as_multiset`.
-    Every value is within SPECTRUM_TOL max(1, |value|) of its exact
-    eigenvalue, or InaccurateSpectrum is raised.  Jacobi's eigenvectors V are
-    orthonormal, so V^T C' V is the diagonal of its values plus V^T R,
-    R = C'V - V diag, and by Weyl's inequality the sorted values are within
-    ||R||_2 <= dim max|R| of C''s; when that bound is above SPECTRUM_TOL
-    (legs of about 10^7 and more) the exact count on the tree certifies them
-    instead.  Legs without a double value raise LegTooLarge.
+    Each value is the double nearest its eigenvalues, ties to the lower, and
+    its multiplicity is exact: how many eigenvalues that double is nearest.
+    They are found in ascending order.  The exact count at 1 places the
+    block at 1.  Any other eigenvalue is split off by the float count
+    `_inertia` on (0, twice the largest degree]; once alone it is narrowed
+    to adjacent doubles on the sign of the float det((x - 2)I - C'), and a
+    cluster is split down to adjacent doubles.  `nearest_double` confirms
+    the nearer double, and the multiplicity, with the exact count `_above`.
+    Raises LegTooLarge for legs above about 4.4e307 and OrderTooLarge
+    for a pruned C' above MAX_SPECTRUM_ORDER.
     """
-    from .oracle import sym_eigs   # deferred: oracle imports this module's types
-
     require_double_legs(spec)
-    c = build_C(spec)
-    keep = [s for s, qs in enumerate(c.slot_q) if qs != 0]     # C' drops the q_i = 0 leg slots
-    ones = [(1.0, spec.a)] if spec.a else []
-    values = []
-    if keep:
-        res = sym_eigs(c.to_dense()[keep][:, keep])
-        values = [float(v) + 2.0 for v in res.values]
-        if len(keep) * res.residual > SPECTRUM_TOL:
-            _certify_spectrum(spec, [(0.0, 1)] + ones + [(v, 1) for v in values])
-    if ones:    # the Jacobi values that round-off moved off the exact 1 join its block
-        ones = [(1.0, spec.a + sum(abs(v - 1.0) <= MERGE_TOL for v in values))]
-        values = [v for v in values if abs(v - 1.0) > MERGE_TOL]
-    return [(0.0, 1)] + as_multiset(ones + [(v, 1) for v in values])
+    order = 2 * spec.k - 1 - spec.b
+    if order > MAX_SPECTRUM_ORDER:
+        raise OrderTooLarge(f"the pruned quotient matrix has order {order}, "
+                            f"above the spectrum's cap of {MAX_SPECTRUM_ORDER}")
+    top = 2.0 * (float(max(spec.q)) + 2.0)      # twice the largest degree bounds the spectrum
+    if 2.0 * top == inf:                        # the bisections add two points below it
+        raise LegTooLarge("four times the largest leg count has no double value")
+    below_one, ones = laplacian_count(spec, 1)
+
+    def count(x: float) -> int:         # eigenvalues at most x, by the float count
+        return sum(_inertia(spec, x))
+
+    def at_most(x: Fraction) -> int:    # the same, exact
+        if x.denominator == 1:
+            return sum(laplacian_count(spec, x))
+        return 1 + (spec.a if x > 1 else 0) + order - _above(spec.q, x - 2)
+
+    pairs, rank, lo = [(0.0, 1)], 2, 0.0
+    uppers = [(top, spec.n)]    # float-counted points above the eigenvalues left, nearest last
+    while rank <= spec.n:
+        if rank == below_one + 1 and ones:
+            lo, hi = nextafter(1.0, -inf), 1.0
+        else:
+            while uppers[-1][1] < rank or uppers[-1][0] <= lo:
+                uppers.pop()
+            hi = uppers[-1][0]
+            while uppers[-1][1] > rank and lo < (mid := (lo + hi) / 2.0) < hi:
+                c = count(mid)
+                if c >= rank:
+                    uppers.append((mid, c))
+                    hi = mid
+                else:
+                    lo = mid
+            if uppers[-1][1] == rank:   # alone in (lo, hi]: narrowed on the sign of the det,
+                # (-1)^(eigenvalues of C' + 2 above x) just above the eigenvalue
+                even = (order - rank + 1 + (spec.a if lo > 1 else 0)) % 2 == 0
+                a, b = bisect_doubles(lambda x: (_pruned_det(spec.q, x - 2.0) > 0) == even, lo, hi)
+                if isfinite(_pruned_det(spec.q, b - 2.0)):     # unless the float det overflowed
+                    lo, hi = a, b
+            lo, hi = bisect_doubles(lambda x: count(x) >= rank, lo, hi)
+        v, upto = nearest_double(at_most, rank, lo, hi)
+        pairs.append((v, upto - rank + 1))
+        rank, lo = upto + 1, nextafter(v, inf)
+    return pairs

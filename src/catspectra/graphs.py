@@ -21,8 +21,8 @@ from .model import CaterpillarSpec, OrderTooLarge
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest order of a dense matrix built here or solved by `oracle.sym_eigs`,
-# whose cyclic Jacobi sweeps cost O(n^3) in Python-level rotations.
+# Largest order of a dense matrix built here or solved by `oracle.sym_eigs`: the
+# cap on verify's dense checks, whose cyclic Jacobi sweeps cost O(n^3) each.
 MAX_DENSE_ORDER = 256
 
 

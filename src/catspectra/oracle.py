@@ -2,19 +2,18 @@
 
 Four kinds of oracle live here:
 
-* exact Laplacian eigenvalue counting on the tree (`laplacian_count`), by
-  Jacobs and Trevisan's tree diagonalization in its Laplacian form (Braga,
-  Rodrigues and Trevisan, Discrete Math. 313, 2013), and the algebraic
-  connectivity `mu_oracle` located by bisecting that count;
+* `mu_oracle`, the algebraic connectivity, bisected with the exact
+  eigenvalue count on the tree (`model.laplacian_count`);
 * a dense symmetric eigensolver (`sym_eigs_stack`, and `sym_eigs` for one
   matrix), cyclic Jacobi in the round-robin ordering of Brent and Luk
   (1985), each round of disjoint rotations applied at once (Luk and Park
   1989 show the ordering equivalent to the row-cyclic one), the
-  cross-check of the count.  A list of matrices is solved as one stack:
-  each is zero-padded to the largest order, all share every round, and
-  each stops on its own tolerance.  A round is a fixed handful of numpy
-  calls on preallocated arrays, whatever the stack holds: the eigenvectors
-  ride beside the matrix, so one batched product turns the rows of both;
+  cross-check of the count and of the spectrum.  A list of matrices is
+  solved as one stack: each is zero-padded to the largest order, all share
+  every round, and each stops on its own tolerance.  A round is a fixed
+  handful of numpy calls on preallocated arrays, whatever the stack holds:
+  the eigenvectors ride beside the matrix, so one batched product turns
+  the rows of both;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
@@ -23,23 +22,21 @@ Four kinds of oracle live here:
 * root counting (`sturm_count`): distinct roots of an integer polynomial in
   an interval, by one Sturm chain; `min_root` bisects it to adjacent doubles.
 
-None of this uses the recurrences under test, and nothing here calls
-numpy's eigensolver; numpy is array plumbing only, imported by the dense
-functions (`sym_eigs_stack`) alone, so the count, `mu_oracle`, the exact
-determinants and `min_root` run without it.
+None of this uses the recurrences under test; numpy is array plumbing only,
+imported by `sym_eigs_stack` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable
 
 from .charpoly import IntPolynomial, StructuredC
 from .graphs import MAX_DENSE_ORDER, Graph
-from .model import CaterpillarSpec, OrderTooLarge
+from .model import (CaterpillarSpec, OrderTooLarge, _inertia, bisect_doubles, laplacian_count,
+                    nearest_double)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -251,90 +248,24 @@ def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     return sym_eigs_stack([m], max_sweeps)[0]
 
 
-def _inertia(spec: CaterpillarSpec, x) -> tuple[int, int]:
-    """(negative, zero) diagonal values of L - xI after tree diagonalization.
-
-    Spine vertex 1 is processed first and k last, each leg before its spine
-    vertex.  A leaf gets 1 - x; spine vertex i gets deg_i - x - q_i/(1-x) -
-    1/a_{i-1}, the last term only while the edge to spine vertex i-1 is
-    kept.  A vertex with a zero child turns one such child to 2 and itself
-    to -1/2 and cuts the edge to its parent; any other zero children stay 0.
-    Generic over the number type of x: Fractions give the exact inertia,
-    floats a fast estimate.
-    """
-    leaf = 1 - x
-    below = at = 0
-    child = None        # a_{i-1} while spine vertex i-1 is still a child of i
-    for i, q in enumerate(spec.q):
-        if leaf < 0:
-            below += q
-        zeros = q if leaf == 0 else 0
-        if child is not None:
-            zeros += child == 0
-            below += child < 0
-        if zeros:
-            below += 1              # this vertex becomes -1/2, one zero child 2
-            at += zeros - 1
-            child = None
-            continue
-        a = q + (i > 0) + (i < spec.k - 1) - x
-        if q:
-            a -= q / leaf
-        if child is not None:
-            a -= 1 / child
-        child = a
-    if child is not None:
-        below += child < 0
-        at += child == 0
-    return below, at
-
-
-def laplacian_count(spec: CaterpillarSpec, x) -> tuple[int, int]:
-    """(#{eigenvalues of L(T) < x}, multiplicity of x), exact for rational x.
-
-    O(k) Fraction steps whatever sum(q) is; never builds a matrix or C.
-    """
-    return _inertia(spec, Fraction(x))
-
-
-def bisect_doubles(above, lo: float, hi: float) -> tuple[float, float]:
-    """Narrow lo < hi to adjacent doubles, keeping above(hi) true and above(lo) false."""
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def mu_oracle(spec: CaterpillarSpec) -> float:
     """Algebraic connectivity of the tree, correctly rounded to a double.
 
-    The float count brackets mu between adjacent doubles.  Within a few ulps
-    of mu it can misjudge, so each end of the bracket is confirmed with the
-    exact count at its dyadic value, the bracket widened where that fails and
-    bisected again with the exact count.  One more exact count at the
-    bracket's midpoint picks the nearer double.
+    The float count brackets mu between adjacent doubles, and
+    `model.nearest_double` confirms the nearer one with the exact count.
     """
     if spec.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
 
-    def past_mu(x) -> bool:     # mu <= x iff the eigenvalues 0 and mu are both <= x
-        return sum(laplacian_count(spec, x)) >= 2
+    def at_most(x) -> int:
+        return sum(laplacian_count(spec, x))
 
     hi = 1.0
-    while not past_mu(hi):
+    while at_most(hi) < 2:      # mu <= x iff the eigenvalues 0 and mu are both <= x
         hi *= 2.0
     lo, hi = bisect_doubles(lambda x: sum(_inertia(spec, x)) >= 2, 0.0, hi)
-    step = hi - lo
-    while past_mu(lo):
-        lo, step = max(0.0, lo - step), 2.0 * step
-    step = hi - lo
-    while not past_mu(hi):
-        hi, step = hi + step, 2.0 * step
-    lo, hi = bisect_doubles(past_mu, lo, hi)
-    return lo if past_mu((Fraction(lo) + Fraction(hi)) / 2) else hi
+    return nearest_double(at_most, 2, lo, hi)[0]
 
 
 def deradicalize(c: StructuredC) -> list[list[int]]:

@@ -15,10 +15,9 @@ The dense solves come in stacks (`oracle.sym_eigs_stack`), which share each
 Jacobi round among their members: per spec, C with all its deletions C(i)
 in one call, solved once per run and shared by the checks (`_c_eigs`;
 `cli.run_verify` empties that cache when a run ends), and the k - 1
-leg-pair blocks of the Cardano check in another.  The tree Laplacian and
-the pruned C of `charpoly.laplacian_spectrum` are single solves, since
-padding the small matrices to the Laplacian's order would cost more than
-the rounds it saves.
+leg-pair blocks of the Cardano check in another.  The tree Laplacian is a
+single solve, since padding the small matrices to its order would cost
+more than the rounds it saves.
 
 compare_reference holds the oracle-confirmed published values (mu, lb_trace,
 ub_trace) as hard assertions; the pair-bound column is report-only because

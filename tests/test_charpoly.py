@@ -6,6 +6,7 @@ polynomial."""
 import time
 import tracemalloc
 from fractions import Fraction
+from math import inf, nextafter
 
 import numpy as np
 import pytest
@@ -14,14 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from catspectra import charpoly
 from catspectra.charpoly import (
     MAX_LAPLACIAN_ORDER,
-    MERGE_TOL,
-    SPECTRUM_TOL,
-    InaccurateSpectrum,
     IntPolynomial,
     OrderTooLarge,
     POLY_X,
+    _above,
     _p_scalar_suffixes,
-    as_multiset,
     build_C,
     charpoly_p,
     laplacian_charpoly,
@@ -30,8 +28,8 @@ from catspectra.charpoly import (
     pprime_minus2,
     shifted_pruned_charpoly,
 )
-from catspectra.model import LegTooLarge, validate_spec
-from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
+from catspectra.model import LegTooLarge, laplacian_count, validate_spec
+from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle
 from catspectra.graphs import build_caterpillar
 
 from conftest import eval_points, specs
@@ -47,13 +45,16 @@ def kept_slots(spec):
 
 
 def expanded_grouping(spec, pruned_values):
-    """The spectrum as (0.0, 1) and single copies: a copies of 1.0, and each value
-    of the pruned C plus 2, set to 1.0 when a > 0 and it is within MERGE_TOL of 1."""
-    vals = [1.0] * spec.a
-    for v in pruned_values:
-        v = float(v) + 2.0
-        vals.append(1.0 if spec.a and abs(v - 1.0) <= MERGE_TOL else v)
-    return [(0.0, 1)] + as_multiset([(v, 1) for v in vals])
+    """The spectrum the factorization predicts, one value per eigenvalue: 0, a copies
+    of 1, and each eigenvalue of the pruned C plus 2, ascending."""
+    return sorted([0.0] + [1.0] * spec.a + [float(v) + 2.0 for v in pruned_values])
+
+
+def assert_expands_to(pairs, want):
+    """The (value, multiplicity) pairs, expanded, match want within 1e-12 max(1, largest)."""
+    got = [v for v, m in pairs for _ in range(m)]
+    assert len(got) == len(want)
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12 * max(1.0, want[-1])
 
 
 int_polys = st.lists(
@@ -165,8 +166,8 @@ def test_prune_zero_worked_example(worked_spec):
                        [0, 0, 0, 1, 0, 1],
                        [0, 0, 0, 0, 1, 0]], dtype=float)
     assert np.array_equal(build_C(worked_spec).to_dense()[np.ix_(keep, keep)], pruned)
-    want = expanded_grouping(worked_spec, sym_eigs(pruned).values)
-    assert laplacian_spectrum(worked_spec) == want
+    want = expanded_grouping(worked_spec, np.linalg.eigvalsh(pruned))
+    assert_expands_to(laplacian_spectrum(worked_spec), want)
 
 
 @given(extreme_specs)
@@ -285,15 +286,6 @@ def test_zero_leg_division_is_exact(spec):
 
 # -- spectra ----------------------------------------------------------------
 
-def test_as_multiset_groups_near_values():
-    ms = as_multiset([(1.0, 1), (1.0 + 1e-12, 1), (0.0, 1), (2.5, 1)])
-    assert ms == [(0.0, 1), (1.0, 2), (2.5, 1)]
-    # multiplicities add up, and a group keeps its smallest value
-    ms = as_multiset([(1.0, 7), (1.0 - 1e-12, 1), (0.0, 1)])
-    assert ms == [(0.0, 1), (1.0 - 1e-12, 8)]
-    assert as_multiset([(1.0, 1), (1.0 + 2 * MERGE_TOL, 1)]) == [(1.0, 1), (1.0 + 2 * MERGE_TOL, 1)]
-
-
 def test_laplacian_spectrum_star():
     ms = laplacian_spectrum(validate_spec((3,)))
     assert [m for _, m in ms] == [1, 2, 1]
@@ -317,8 +309,7 @@ def test_laplacian_spectrum_values_are_plain_floats(worked_spec):
 def test_laplacian_spectrum_merges_the_block_at_one():
     # T(3,0): a = 2 ones from the legs, and the pruned C adds its eigenvalue -1 (+ 2 = 1)
     assert laplacian_spectrum(validate_spec((3, 0))) == [(0.0, 1), (1.0, 3), (5.0, 1)]
-    # T(6,1,0,4,0): a = 8, and Jacobi puts the pruned C's -1 at 0.9999999999999993;
-    # the block keeps its exact value 1.0
+    # T(6,1,0,4,0): a = 8, and the pruned C's -1 joins the block
     assert (1.0, 9) in laplacian_spectrum(validate_spec((6, 1, 0, 4, 0)))
 
 
@@ -334,21 +325,13 @@ def test_laplacian_spectrum_memory_does_not_grow_with_legs():
     assert (1.0, 10**6 - 1) in ms and sum(m for _, m in ms) == 10**6 + 3
 
 
-@pytest.mark.parametrize("q", [(10**13, 1), (10**15, 2, 3)])
-def test_laplacian_spectrum_refuses_legs_too_large_for_jacobi(q):
-    # Jacobi stops at 1e-12 ||C'||_F, so it never rotated the unit ties of these:
-    # T(10^13, 1) came out as 0, 1, 2, 10^13 + 2 in place of 0, 0.3820, 1, 2.6180, ...
-    with pytest.raises(InaccurateSpectrum):
-        laplacian_spectrum(validate_spec(q))
-
-
 @pytest.mark.parametrize("q", [(10**9, 1), (10**9, 3, 0, 10**8), (10**7,) * 4])
 def test_laplacian_spectrum_on_huge_legs_is_within_its_tolerance(q):
-    # legs this large make Jacobi's residual bound too loose, so the exact count certifies
+    # the tolerance is half an ulp: mu comes out as the correctly rounded double
     spec = validate_spec(q)
     ms = laplacian_spectrum(spec)
     assert sum(m for _, m in ms) == spec.n
-    assert abs(ms[1][0] - mu_oracle(spec)) <= SPECTRUM_TOL
+    assert ms[1] == (mu_oracle(spec), 1)
 
 
 def test_laplacian_spectrum_refuses_legs_without_a_double_value():
@@ -361,8 +344,8 @@ def test_laplacian_spectrum_refuses_legs_without_a_double_value():
 def test_laplacian_spectrum_equals_the_expanded_grouping(spec):
     # the block at 1 as one (1.0, a) pair groups exactly like a copies of 1.0
     keep = kept_slots(spec)
-    values = sym_eigs(build_C(spec).to_dense()[np.ix_(keep, keep)]).values if keep else []
-    assert laplacian_spectrum(spec) == expanded_grouping(spec, values)
+    values = np.linalg.eigvalsh(build_C(spec).to_dense()[np.ix_(keep, keep)]) if keep else []
+    assert_expands_to(laplacian_spectrum(spec), expanded_grouping(spec, values))
 
 
 def test_laplacian_charpoly_order_cap(monkeypatch, worked_spec):
@@ -395,12 +378,41 @@ def test_counts_and_spectrum_follow_the_factorization(q):
         g = build_caterpillar(spec)     # spine vertices 1..k, then the pendants
         legs = [sum(1 for u, w in g.edges if u == i and w > spec.k) for i in range(1, spec.k + 1)]
         assert (spec.n, spec.a, spec.b) == (g.n, sum(max(x - 1, 0) for x in legs), legs.count(0))
-    try:
-        ms = laplacian_spectrum(spec)
-    except InaccurateSpectrum:      # a refusal, not a spectrum: Jacobi misses some 10^9 legs
-        return
+    ms = laplacian_spectrum(spec)
     assert ms[0] == (0.0, 1)
     assert sum(m for _, m in ms) == spec.n
+
+
+@given(extreme_specs, st.integers(min_value=0, max_value=2**60 - 1))
+@settings(max_examples=100)
+def test_minor_count_matches_the_tree_count(spec, m):
+    # at a non-integer dyadic x in (0, 4 (1 + max leg)), C''s eigenvalues above x - 2 by
+    # its leading minors agree with the Laplacian eigenvalues at most x by the tree count
+    x = Fraction(2 * m + 1, 2**61) * 4 * (1 + max(spec.q))
+    order = 2 * spec.k - 1 - spec.b
+    at_most = 1 + (spec.a if x > 1 else 0) + order - _above(spec.q, x - 2)
+    assert at_most == sum(laplacian_count(spec, x))
+
+
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 6, 10**6, 10**9)), min_size=1, max_size=12))
+@example([10**7] * 4)
+@example([10**9, 10**9, 6, 2, 1, 2])
+@example([10**9, 3, 0, 7] * 3)
+@settings(max_examples=60, deadline=None)
+def test_laplacian_spectrum_is_bracketed_by_the_exact_count(q):
+    # each pair (v, m) after j eigenvalues holds the next m, and v is their nearest
+    # double: at most j lie halfway to the double below v, j + m halfway to the one above
+    spec = validate_spec(q)
+    ms = laplacian_spectrum(spec)
+    assert sum(m for _, m in ms) == spec.n
+    j = 0
+    for v, m in ms:
+        below = (Fraction(nextafter(v, -inf)) + Fraction(v)) / 2
+        above = (Fraction(v) + Fraction(nextafter(v, inf))) / 2
+        assert sum(laplacian_count(spec, below)) <= j < j + m <= sum(laplacian_count(spec, above))
+        j += m
+    if spec.n >= 2 and ms[1][1] == 1:
+        assert ms[1][0] == mu_oracle(spec)
 
 
 def test_laplacian_charpoly_is_one_binomial_row_times_the_pruned_factor():

@@ -3,11 +3,12 @@ comparison and exit codes."""
 
 import json
 import time
+from math import sqrt
 
 import pytest
 
 from catspectra import cli, verify
-from catspectra.model import validate_spec
+from catspectra.model import laplacian_count, validate_spec
 from catspectra.oracle import NonConvergence
 
 
@@ -44,6 +45,12 @@ def test_fmt4_prints_no_negative_zero():
     assert cli.fmt4(-0.0) == "0.0000"
     assert cli.fmt4(-0.00005) == "0.0000"      # half-even to zero
     assert cli.fmt4(-0.00006) == "-0.0001"
+
+
+def test_fmt4_prints_the_largest_doubles():
+    # 28 digits, the default decimal precision, raised InvalidOperation
+    assert cli.fmt4(1e24) == "1000000000000000000000000.0000"
+    assert cli.fmt4(-1.5e308) == "-15" + "0" * 307 + ".0000"
 
 
 # -- records ------------------------------------------------------------------
@@ -167,6 +174,58 @@ def test_cmd_spectrum_json_keeps_the_zero_exact_on_huge_legs(capsys):
     assert sum(m for _, m in rec["linegraph"]) == rec["n"] - 1 == 16 * (10**9 + 10) + 63
 
 
+def _spectrum_json(capsys, q: str) -> dict:
+    assert cli.main(["spectrum", "--q", q, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cmd_spectrum_answers_on_a_pruned_order_beyond_the_dense_cap(capsys):
+    # T(1^200): the pruned C has order 399, and the dense route refused above 256
+    t0 = time.perf_counter()
+    rec = _spectrum_json(capsys, ",".join(["1"] * 200))
+    assert time.perf_counter() - t0 < 5.0
+    assert [m for _, m in rec["laplacian"]] == [1] * 400
+
+
+def test_cmd_spectrum_reports_the_mu_that_bounds_reports(capsys):
+    # the dense route gave (1.9999991618391277e-07, 3): three distinct eigenvalues merged
+    q = "10000000,10000000,10000000,10000000"
+    assert _spectrum_json(capsys, q)["laplacian"][1] == [5.857863447337043e-08, 1]
+    assert cli.main(["bounds", "--q", q, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 5.857863447337043e-08
+
+
+def test_cmd_spectrum_answers_on_two_legs_of_10_to_the_9(capsys):
+    # the dense route missed its tolerance near 0.0404 and exited 1
+    rec = _spectrum_json(capsys, "1000000000,1000000000,6,2,1,2")
+    assert sum(m for _, m in rec["laplacian"]) == rec["n"] == 2 * 10**9 + 17
+
+
+def test_cmd_spectrum_keeps_each_tiny_eigenvalue_apart(capsys):
+    # the dense route printed (5.000837521862422e-10, 8) for eight of them
+    q = ",".join(["1000000000,3,0,7"] * 16)
+    tiny = [p for p in _spectrum_json(capsys, q)["laplacian"] if p[0] < 1e-9]
+    spec = validate_spec(tuple(int(x) for x in q.split(",")))
+    assert laplacian_count(spec, 1e-9) == (16, 0)
+    assert len(tiny) == 16 and all(m == 1 for _, m in tiny)
+
+
+def test_cmd_spectrum_answers_on_legs_of_10_to_the_13(capsys):
+    # the dense route printed 0, 1, 2 and 10^13 + 2; the limits are (3 -+ sqrt 5) / 2
+    rec = _spectrum_json(capsys, "10000000000000,1")
+    values = [v for v, _ in rec["laplacian"]]
+    assert [m for _, m in rec["laplacian"]] == [1, 1, 10**13 - 1, 1, 1]
+    assert values[0] == 0.0 and values[2] == 1.0 and values[4] == 10**13 + 2
+    assert abs(values[1] - (3 - sqrt(5)) / 2) <= 1e-12
+    assert abs(values[3] - (3 + sqrt(5)) / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_cmd_spectrum_prints_legs_of_10_to_the_24(capsys, fmt):
+    assert cli.main(["spectrum", "--q", f"{10**24},1", "--format", fmt]) == 0
+    assert f"{10**24}.0000" in capsys.readouterr().out
+
+
 def test_cmd_charpoly_text(capsys):
     assert cli.main(["charpoly", "--q", "4,9", "--of", "C"]) == 0
     assert "[-59, -11, 11, -1]" in capsys.readouterr().out
@@ -239,11 +298,11 @@ def test_cmd_bounds_answers_on_legs_of_10_to_the_60(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--q", "10000000000000,1"],
     ["spectrum", "--q", f"{2**1024},1"],
+    ["spectrum", "--q", f"{15 * 10**307},2"],
     ["bounds", "--q", f"{2**1024},1"],
     ["bounds", "--q", f"{10**160},1"],
-], ids=["spectrum-1e13", "spectrum-2^1024", "bounds-2^1024", "bounds-1e160"])
+], ids=["spectrum-2^1024", "spectrum-1.5e308", "bounds-2^1024", "bounds-1e160"])
 def test_legs_beyond_the_double_routes_exit_1(capsys, argv):
     # each printed wrong numbers with exit 0, or crashed with a traceback
     assert cli.main(argv) == 1

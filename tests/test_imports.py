@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the scripts or the tests imports
-a name it never uses, the invariant suite does not import the CLI, the public API
-(`catspectra.__all__`) resolves and covers the README's library example, and
-the package, `bounds` and `charpoly` run without loading numpy.
+a name it never uses, the invariant suite does not import the CLI, `charpoly`
+imports nothing from the oracles, the public API (`catspectra.__all__`)
+resolves and covers the README's library example, and the package, `bounds`,
+`charpoly` and `spectrum` run without loading numpy.
 
 Stdlib only (ast), since neither pyflakes nor ruff is a dependency.  The
 package `__init__` is exempt from the unused-import check: its imports are
@@ -65,8 +66,9 @@ def test_readme_imports_are_public():
     assert names - set(catspectra.__all__) == set()
 
 
-def test_verify_does_not_import_the_cli():
-    tree = ast.parse((ROOT / "src" / "catspectra" / "verify.py").read_text())
+def imported_modules(name: str) -> set[str]:
+    """Modules and names a package module imports, relative ones without their dots."""
+    tree = ast.parse((ROOT / "src" / "catspectra" / f"{name}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -74,16 +76,25 @@ def test_verify_does_not_import_the_cli():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
-    assert not {"cli", "catspectra.cli"} & imported
+    return imported
+
+
+def test_verify_does_not_import_the_cli():
+    assert not {"cli", "catspectra.cli"} & imported_modules("verify")
+
+
+def test_charpoly_does_not_import_the_oracles():
+    assert not {"oracle", "catspectra.oracle"} & imported_modules("charpoly")
 
 
 def test_bounds_and_charpoly_never_load_numpy():
-    # numpy is only array plumbing for the dense oracles (spectrum, verify)
+    # numpy is only array plumbing for the dense oracles of verify
     code = (
         "import sys, catspectra\n"
         "from catspectra import cli\n"
         "assert cli.main(['bounds', '--q', '4,9,0,1', '--format', 'json']) == 0\n"
         "assert cli.main(['charpoly', '--q', '4,9,0,1', '--of', 'L']) == 0\n"
+        "assert cli.main(['spectrum', '--q', '4,9,0,1', '--format', 'json']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

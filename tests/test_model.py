@@ -1,10 +1,14 @@
-"""Tests for spec validation and the counts n, a and b read off the spec."""
+"""Tests for spec validation, the counts n, a and b read off the spec, and the
+rounding of one eigenvalue with an exact count."""
+
+from fractions import Fraction
+from math import inf, nextafter
 
 import pytest
 from hypothesis import given
 
-from catspectra.model import (EmptySpec, LegTooLarge, NegativeLegCount, require_double_legs,
-                              validate_spec)
+from catspectra.model import (EmptySpec, LegTooLarge, NegativeLegCount, nearest_double,
+                              require_double_legs, validate_spec)
 
 from conftest import leg_counts
 
@@ -75,3 +79,23 @@ def test_require_double_legs_stops_where_float_overflows():
     require_double_legs(validate_spec((2**1024 - 2**970 - 1, 1)))
     with pytest.raises(LegTooLarge, match="1024 bits"):
         require_double_legs(validate_spec((3, 2**1024 - 2**970)))
+
+
+def _eigenvalues_at(*values):
+    """at_most for the eigenvalues 0 and values, exact at rational points."""
+    return lambda x: sum(Fraction(v) <= x for v in (0, *values))
+
+
+@pytest.mark.parametrize("lo", [0.25, 1 / 3, 0.5, 2.0])
+def test_nearest_double_recovers_from_a_misjudged_bracket(lo):
+    # 1/3 twice, then 3: the bracket [lo, next double) is right only for lo = 1/3
+    v, upto = nearest_double(_eigenvalues_at(Fraction(1, 3), Fraction(1, 3), 3), 2,
+                             lo, nextafter(lo, inf))
+    assert (v, upto) == (1 / 3, 3)
+
+
+def test_nearest_double_breaks_a_tie_to_the_lower_double():
+    lo = 2.0**53
+    tie = Fraction(lo) + 1      # halfway between 2^53 and 2^53 + 2
+    assert nearest_double(_eigenvalues_at(tie), 2, lo, lo + 2) == (lo, 2)
+    assert nearest_double(_eigenvalues_at(tie + Fraction(1, 8)), 2, lo, lo + 2) == (lo + 2, 2)

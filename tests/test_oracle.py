@@ -17,14 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 from catspectra import oracle, verify
 from catspectra.charpoly import IntPolynomial, build_C, charpoly_p, shifted_pruned_charpoly
 from catspectra.graphs import MAX_DENSE_ORDER, Graph, build_caterpillar, matrices
-from catspectra.model import OrderTooLarge, validate_spec
+from catspectra.model import OrderTooLarge, laplacian_count, validate_spec
 from catspectra.oracle import (
     NoRootFound,
     NonConvergence,
     deradicalize,
     exact_det,
     lap_charpoly_eval,
-    laplacian_count,
     min_root,
     mu_oracle,
     sturm_count,

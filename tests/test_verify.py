@@ -30,10 +30,9 @@ def _count_stacks(monkeypatch) -> list[tuple[str, list]]:
 def test_verify_solves_each_dense_matrix_once(monkeypatch, capsys):
     calls = _count_stacks(monkeypatch)
     assert cli.main(["verify", "--q", "4,9,1,2"]) == 0
-    # k = 4: the pruned C in laplacian_spectrum, the tree Laplacian, C with
-    # its k - 1 deletions C(i) in one stack and the k - 1 leg-pair matrices
-    # in another: 3 + 2(k - 1) matrices in 4 calls
-    assert [len(mats) for _, mats in calls] == [1, 1, 4, 3]
+    # k = 4: the tree Laplacian, C with its k - 1 deletions C(i) in one stack
+    # and the k - 1 leg-pair matrices in another: 2 + 2(k - 1) matrices in 3 calls
+    assert [len(mats) for _, mats in calls] == [1, 4, 3]
     assert verify._c_eigs.cache_info().currsize == 0    # nothing kept past the run
     assert "all invariants passed" in capsys.readouterr().out
 
