@@ -15,8 +15,7 @@ import argparse
 import sys
 
 from catspectra.bounds import bounds_report
-from catspectra.model import fmt4, q_label
-from catspectra.verify import random_specs
+from catspectra.model import fmt4, q_label, random_specs
 
 
 def summarise(name: str, ratios: list[float]) -> str:

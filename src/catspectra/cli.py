@@ -13,8 +13,8 @@ Batch files for `table` hold one spec per line, `#` comments allowed.
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
 non-convergence.
 
-The invariant checks, the published reference values and the spec sampler
-live in `catspectra.verify`; this module only parses, builds and renders.
+This module parses, builds, renders and compares with the published values;
+the invariant checks live in `catspectra.verify`, the one that loads numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 from math import isfinite
 
-from .bounds import bounds_report
+from .bounds import bounds_report, trace_inv_deleted
 from .charpoly import charpoly_p, laplacian_charpoly, laplacian_spectrum
 from .graphs import MAX_DENSE_ORDER
-from .model import CaterpillarSpec, LegTooLarge, fmt4, q_label, validate_spec
+from .model import CaterpillarSpec, LegTooLarge, fmt4, q_label, random_specs, validate_spec
 from .oracle import NonConvergence
 
 EXIT_OK = 0
@@ -95,6 +96,58 @@ def bounds_record(spec: CaterpillarSpec) -> dict:
         },
         "warnings": list(rep.warnings),
     }
+
+
+# ---------------------------------------------------------------------------
+# published reference values
+# ---------------------------------------------------------------------------
+
+# mu, lb and ub_trace are hard assertions; ub_cardano is report-only, since two
+# of its printed values do not follow from the stated formula.  ub_trace_index
+# marks a ub_trace printed for one deletion index rather than the minimum.
+REFERENCE_VALUES: dict[tuple[int, ...], dict] = {
+    (4, 9, 0, 1): {"mu": 0.1862, "ub_cardano": 0.6045, "ub_trace": 0.2320,
+                   "ub_trace_index": 2, "lb": 0.0942},
+    (3, 2, 1, 0, 5, 4): {"mu": 0.0601, "ub_cardano": 0.2788, "ub_trace": 0.0658, "lb": 0.0372},
+    (2, 0, 3, 4, 7): {"mu": 0.0893, "ub_cardano": 0.2536, "ub_trace": 0.1056, "lb": 0.0514},
+    (3, 5, 0, 0, 9, 10): {"mu": 0.0398, "ub_cardano": 0.3087, "ub_trace": 0.0423, "lb": 0.0270},
+    (9, 5, 5, 4, 2, 0, 3): {"mu": 0.0407, "ub_cardano": 0.2157, "ub_trace": 0.0500, "lb": 0.0290},
+    (5, 0, 5, 0, 5, 0, 5, 0, 5): {"mu": 0.0285, "ub_cardano": 1.0000, "ub_trace": 0.0346, "lb": 0.0167},
+    (3, 9, 10, 0, 5, 0, 4, 2, 0, 7): {"mu": 0.0173, "ub_cardano": 0.1624, "ub_trace": 0.0201, "lb": 0.0108},
+}
+
+REFERENCE_TOL = 1e-3    # the published values carry 4 decimals
+
+
+def compare_reference(spec: CaterpillarSpec, rec: dict):
+    """Returns (hard_failures, notes) of a bounds record against the published values, if any."""
+    ref = REFERENCE_VALUES.get(spec.q)
+    if ref is None:
+        return [], []
+    hard, notes = [], []
+    b = rec["bounds"]
+
+    def check(name: str, got: float, want: float, is_hard: bool):
+        if abs(got - want) <= REFERENCE_TOL:
+            return
+        msg = f"{name}: published {fmt4(want)}, computed {fmt4(got)}"
+        (hard if is_hard else notes).append(msg)
+
+    check("mu", rec["mu"], ref["mu"], True)
+    check("lb_trace", b["lb"], ref["lb"], True)
+    idx = ref.get("ub_trace_index")
+    if idx is None:
+        check("ub_trace", b["ub_trace"], ref["ub_trace"], True)
+    else:
+        term = float(1 / (Fraction(rec["exact"]["trace_inv"]) - trace_inv_deleted(spec, idx)))
+        check(f"ub_trace(i={idx} term)", term, ref["ub_trace"], True)
+        if abs(b["ub_trace"] - ref["ub_trace"]) > REFERENCE_TOL:
+            notes.append(
+                f"ub_trace: published {fmt4(ref['ub_trace'])} is the i={idx} term; "
+                f"the minimum over i is {fmt4(b['ub_trace'])} at i={b['ub_trace_index']}"
+            )
+    check("ub_cardano", b["ub_cardano"], ref["ub_cardano"], False)
+    return hard, notes
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +231,7 @@ def emit(rec: dict, fmt: str) -> str:
 
 def run_verify(specs: list[CaterpillarSpec], tol: float) -> tuple[list[str], list[str]]:
     """Prints one PASS/FAIL line per invariant check; returns (failures, notes)."""
-    from . import verify    # the suite's dense oracles load numpy; bounds and charpoly need none
+    from . import verify
 
     failures, notes = [], []
     try:
@@ -194,9 +247,9 @@ def run_verify(specs: list[CaterpillarSpec], tol: float) -> tuple[list[str], lis
     finally:
         verify._c_eigs.cache_clear()    # the checks of one run share its dense solves, no later run
     for spec in specs:
-        if spec.q not in verify.REFERENCE_VALUES:
+        if spec.q not in REFERENCE_VALUES:
             continue
-        hard, soft = verify.compare_reference(spec, bounds_record(spec))
+        hard, soft = compare_reference(spec, bounds_record(spec))
         failures.extend(f"FAIL reference T{q_label(spec.q)}: {m}" for m in hard)
         notes.extend(f"note T{q_label(spec.q)}: {m}" for m in soft)
     return failures, notes
@@ -239,8 +292,13 @@ def _vacuous_verify_flag(args) -> str | None:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
-
+    try:
+        import_module(".verify", __package__)   # its dense oracles are the one user of numpy
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("verify needs numpy: pip install 'catspectra[test]'", file=sys.stderr)
+        return EXIT_USAGE
     problem = _vacuous_verify_flag(args)
     if problem:
         print(f"verify {problem}", file=sys.stderr)
@@ -248,7 +306,7 @@ def cmd_verify(args) -> int:
     if args.q is not None:
         specs = [parse_q(args.q)]
     elif args.random is not None:
-        specs = verify.random_specs(args.random, args.kmax, args.qmax, args.seed)
+        specs = random_specs(args.random, args.kmax, args.qmax, args.seed)
     else:
         print("verify needs --q or --random N", file=sys.stderr)
         return EXIT_USAGE
@@ -268,8 +326,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from . import verify
-
     try:
         with open(args.input) as fh:
             lines = fh.readlines()
@@ -295,7 +351,7 @@ def cmd_table(args) -> int:
         except LegTooLarge as exc:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             continue
-        hard, soft = verify.compare_reference(spec, rec)
+        hard, soft = compare_reference(spec, rec)
         flags = list(rec["warnings"])
         flags += [f"divergence[{m}]" for m in soft]
         flags += [f"mismatch[{m}]" for m in hard]

@@ -8,12 +8,13 @@ leg-count vector q and the counts n, a and b read off it, here and nowhere
 else.  `laplacian_count` counts the eigenvalues below a point by Jacobs and
 Trevisan's tree diagonalization in its Laplacian form (Braga, Rodrigues and
 Trevisan, Discrete Math. 313, 2013); `nearest_double` rounds one eigenvalue
-with an exact count.  The report formatters q_label and fmt4 below are shared
-by the CLI and `verify`.
+with an exact count; `random_specs` samples specs for `verify --random`, the
+tests and the scripts, and q_label and fmt4 format reports.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -66,16 +67,6 @@ class CaterpillarSpec:
         """Zero legs, each an all-zero row of C."""
         return self.q.count(0)
 
-    @property
-    def canonical(self) -> bool:
-        """A caterpillar in the strict sense: k >= 2 and n >= 5.
-
-        Degenerate specs (stars, bare paths) are still accepted because the
-        polynomial machinery is defined for them and they make good oracle
-        test cases.
-        """
-        return self.k >= 2 and self.n >= 5
-
 
 def validate_spec(q: Sequence[int]) -> CaterpillarSpec:
     """Check a leg-count vector: at least one spine vertex, no negative count."""
@@ -85,6 +76,13 @@ def validate_spec(q: Sequence[int]) -> CaterpillarSpec:
     if any(x < 0 for x in qt):
         raise NegativeLegCount(f"leg counts must be >= 0, got {qt}")
     return CaterpillarSpec(q=qt)
+
+
+def random_specs(count: int, kmax: int, qmax: int, seed: int) -> list[CaterpillarSpec]:
+    """`count` seed-fixed specs with k in 1..kmax and every q_i in 0..qmax."""
+    rng = random.Random(seed)
+    return [validate_spec(tuple(rng.randint(0, qmax) for _ in range(rng.randint(1, kmax))))
+            for _ in range(count)]
 
 
 def require_double_legs(spec: CaterpillarSpec) -> None:
@@ -108,6 +106,7 @@ def _inertia(spec: CaterpillarSpec, x) -> tuple[int, int]:
     floats a fast estimate.
     """
     leaf = 1 - x
+    last = spec.k - 1
     below = at = 0
     child = None        # a_{i-1} while spine vertex i-1 is still a child of i
     for i, q in enumerate(spec.q):
@@ -122,7 +121,7 @@ def _inertia(spec: CaterpillarSpec, x) -> tuple[int, int]:
             at += zeros - 1
             child = None
             continue
-        a = q + (i > 0) + (i < spec.k - 1) - x
+        a = q + (i > 0) + (i < last) - x
         if q:
             a -= q / leaf
         if child is not None:

@@ -1,4 +1,4 @@
-"""The invariant suite, the published reference values and the spec sampler.
+"""The invariant suite, the one module of the package that loads numpy on import.
 
 Each check in INVARIANT_CHECKS returns None or a one-line failure message
 from comparing a production route with an independent oracle.  The layers
@@ -18,76 +18,17 @@ in one call, solved once per run and shared by the checks (`_c_eigs`;
 leg-pair blocks of the Cardano check in another.  The tree Laplacian is a
 single solve, since padding the small matrices to its order would cost
 more than the rounds it saves.
-
-compare_reference holds the oracle-confirmed published values (mu, lb_trace,
-ub_trace) as hard assertions; the pair-bound column is report-only because
-two of its printed values do not follow from the stated formula.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import lru_cache
 from math import inf, nextafter
 
 import numpy as np
 
-from . import bounds, charpoly, graphs, model, oracle
-from .model import CaterpillarSpec, fmt4
-
-# Published values.  ub_trace_index marks a ub_trace printed for one specific
-# deletion index rather than the minimum over all of them.
-REFERENCE_VALUES: dict[tuple[int, ...], dict] = {
-    (4, 9, 0, 1): {"mu": 0.1862, "ub_cardano": 0.6045, "ub_trace": 0.2320,
-                   "ub_trace_index": 2, "lb": 0.0942},
-    (3, 2, 1, 0, 5, 4): {"mu": 0.0601, "ub_cardano": 0.2788, "ub_trace": 0.0658, "lb": 0.0372},
-    (2, 0, 3, 4, 7): {"mu": 0.0893, "ub_cardano": 0.2536, "ub_trace": 0.1056, "lb": 0.0514},
-    (3, 5, 0, 0, 9, 10): {"mu": 0.0398, "ub_cardano": 0.3087, "ub_trace": 0.0423, "lb": 0.0270},
-    (9, 5, 5, 4, 2, 0, 3): {"mu": 0.0407, "ub_cardano": 0.2157, "ub_trace": 0.0500, "lb": 0.0290},
-    (5, 0, 5, 0, 5, 0, 5, 0, 5): {"mu": 0.0285, "ub_cardano": 1.0000, "ub_trace": 0.0346, "lb": 0.0167},
-    (3, 9, 10, 0, 5, 0, 4, 2, 0, 7): {"mu": 0.0173, "ub_cardano": 0.1624, "ub_trace": 0.0201, "lb": 0.0108},
-}
-
-REFERENCE_TOL = 1e-3    # the published values carry 4 decimals
-
-
-def compare_reference(spec: CaterpillarSpec, rec: dict):
-    """Returns (hard_failures, notes) of a bounds record against the published values, if any."""
-    ref = REFERENCE_VALUES.get(spec.q)
-    if ref is None:
-        return [], []
-    hard, notes = [], []
-    b = rec["bounds"]
-
-    def check(name: str, got: float, want: float, is_hard: bool):
-        if abs(got - want) <= REFERENCE_TOL:
-            return
-        msg = f"{name}: published {fmt4(want)}, computed {fmt4(got)}"
-        (hard if is_hard else notes).append(msg)
-
-    check("mu", rec["mu"], ref["mu"], True)
-    check("lb_trace", b["lb"], ref["lb"], True)
-    idx = ref.get("ub_trace_index")
-    if idx is None:
-        check("ub_trace", b["ub_trace"], ref["ub_trace"], True)
-    else:
-        term = float(1 / (Fraction(rec["exact"]["trace_inv"]) - bounds.trace_inv_deleted(spec, idx)))
-        check(f"ub_trace(i={idx} term)", term, ref["ub_trace"], True)
-        if abs(b["ub_trace"] - ref["ub_trace"]) > REFERENCE_TOL:
-            notes.append(
-                f"ub_trace: published {fmt4(ref['ub_trace'])} is the i={idx} term; "
-                f"the minimum over i is {fmt4(b['ub_trace'])} at i={b['ub_trace_index']}"
-            )
-    check("ub_cardano", b["ub_cardano"], ref["ub_cardano"], False)
-    return hard, notes
-
-
-def random_specs(count: int, kmax: int, qmax: int, seed: int) -> list[CaterpillarSpec]:
-    """`count` seed-fixed specs with k in 1..kmax and every q_i in 0..qmax."""
-    rng = random.Random(seed)
-    return [model.validate_spec(tuple(rng.randint(0, qmax) for _ in range(rng.randint(1, kmax))))
-            for _ in range(count)]
+from . import bounds, charpoly, graphs, oracle
+from .model import CaterpillarSpec
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +154,11 @@ def _ck_hjoin(spec, tol):
         order.extend(ei for ei, (u, w) in enumerate(g.edges) if u == i and w > spec.k)
         if i < spec.k:
             order.extend(ei for ei, (u, w) in enumerate(g.edges) if (u, w) == (i, i + 1))
-    a_join = graphs.matrices(joined)["A"]
-    a_lg = graphs.matrices(lg)["A"][np.ix_(order, order)]
-    if not np.array_equal(a_join, a_lg):
-        return "H-join adjacency disagrees with the line graph"
+    if sorted(order) != list(range(lg.n)):
+        return "H-join slots do not enumerate the tree's edges once each"
+    mapped = {tuple(sorted((order[u - 1] + 1, order[v - 1] + 1))) for u, v in joined.edges}
+    if mapped != set(lg.edges):
+        return "H-join edges disagree with the line graph"
     return None
 
 

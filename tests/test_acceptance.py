@@ -28,9 +28,8 @@ from catspectra.charpoly import (
     shifted_pruned_charpoly,
 )
 from catspectra.graphs import build_caterpillar, line_graph, matrices
-from catspectra.model import validate_spec
+from catspectra.model import random_specs, validate_spec
 from catspectra.oracle import deradicalize, exact_det, lap_charpoly_eval, mu_oracle, sym_eigs
-from catspectra.verify import random_specs
 
 from conftest import incidence
 

@@ -7,8 +7,8 @@ from math import sqrt
 
 import pytest
 
-from catspectra import cli, verify
-from catspectra.model import laplacian_count, validate_spec
+from catspectra import cli
+from catspectra.model import laplacian_count, random_specs, validate_spec
 from catspectra.oracle import NonConvergence
 
 
@@ -124,11 +124,11 @@ def test_json_roundtrip_is_lossless(worked_spec):
 
 def test_compare_reference_unknown_spec_is_silent():
     spec = validate_spec((1, 2, 3))
-    assert verify.compare_reference(spec, cli.bounds_record(spec)) == ([], [])
+    assert cli.compare_reference(spec, cli.bounds_record(spec)) == ([], [])
 
 
 def test_compare_reference_worked_example(worked_spec):
-    hard, notes = verify.compare_reference(worked_spec, cli.bounds_record(worked_spec))
+    hard, notes = cli.compare_reference(worked_spec, cli.bounds_record(worked_spec))
     assert hard == []
     # two expected divergence notes: the published ub_trace is the i=2 term
     # (the minimum is smaller, at i=1), and the published pair bound does not
@@ -139,11 +139,11 @@ def test_compare_reference_worked_example(worked_spec):
 
 
 def test_random_specs_deterministic():
-    a = verify.random_specs(20, 8, 6, seed=7)
-    b = verify.random_specs(20, 8, 6, seed=7)
+    a = random_specs(20, 8, 6, seed=7)
+    b = random_specs(20, 8, 6, seed=7)
     assert a == b
     assert all(1 <= s.k <= 8 and max(s.q) <= 6 for s in a)
-    assert verify.random_specs(20, 8, 6, seed=8) != a
+    assert random_specs(20, 8, 6, seed=8) != a
 
 
 # -- commands and exit codes -----------------------------------------------------

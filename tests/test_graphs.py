@@ -20,7 +20,7 @@ from catspectra.graphs import (
     matrices,
     slot_template,
 )
-from catspectra import verify
+from catspectra import graphs, verify
 from catspectra.model import OrderTooLarge, validate_spec
 
 from conftest import incidence, specs
@@ -194,3 +194,27 @@ def test_hjoin_equals_line_graph_examples():
 @settings(max_examples=25)
 def test_hjoin_equals_line_graph_random(spec):
     assert verify._ck_hjoin(spec, 1e-8) is None
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda family: [complete_graph(family[0].n + 1)] + family[1:], "order mismatch"),
+    (lambda family: [family[2], family[1], family[0]] + family[3:], "edges disagree"),
+])
+def test_hjoin_check_flags_a_wrong_family(monkeypatch, worked_spec, corrupt, message):
+    # family = [K_4, K_1, K_9, ...]: one clique a vertex too large, or K_4 and K_9 swapped
+    decompose = graphs.linegraph_as_hjoin
+
+    def corrupted(spec):
+        h, family = decompose(spec)
+        return h, corrupt(family)
+
+    monkeypatch.setattr(graphs, "linegraph_as_hjoin", corrupted)
+    assert message in verify._ck_hjoin(worked_spec, 1e-8)
+
+
+def test_hjoin_check_flags_a_tree_edge_no_slot_enumerates(monkeypatch, worked_spec):
+    # the last leg (4, 18) moved to hang off leg 17: as many edges, one between two legs
+    tree = build_caterpillar(worked_spec)
+    rewired = Graph(n=tree.n, edges=tree.edges[:-1] + ((tree.n - 1, tree.n),))
+    monkeypatch.setattr(graphs, "build_caterpillar", lambda spec: rewired)
+    assert "enumerate" in verify._ck_hjoin(worked_spec, 1e-8)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from catspectra import oracle, verify
+from catspectra import oracle
 from catspectra.charpoly import IntPolynomial, build_C, charpoly_p, shifted_pruned_charpoly
 from catspectra.graphs import MAX_DENSE_ORDER, Graph, build_caterpillar, matrices
-from catspectra.model import OrderTooLarge, laplacian_count, validate_spec
+from catspectra.model import OrderTooLarge, laplacian_count, random_specs, validate_spec
 from catspectra.oracle import (
     NoRootFound,
     NonConvergence,
@@ -284,7 +284,7 @@ def test_laplacian_count_does_not_depend_on_the_leg_total():
 
 
 def test_mu_matches_jacobi_on_the_verify_distribution():
-    for spec in verify.random_specs(200, 8, 6, 7):
+    for spec in random_specs(200, 8, 6, 7):
         if spec.k >= 2:
             dense = sym_eigs(matrices(build_caterpillar(spec))["L"]).values[1]
             assert abs(mu_oracle(spec) - dense) <= 1e-12, spec.q
@@ -547,7 +547,7 @@ def test_min_root_brackets_the_smallest_root_to_one_ulp(poly_roots, data):
 
 
 def test_min_root_matches_mu_oracle_to_one_ulp():
-    for spec in verify.random_specs(200, 8, 6, 7):
+    for spec in random_specs(200, 8, 6, 7):
         if spec.k >= 2:
             mu = mu_oracle(spec)
             root = min_root(shifted_pruned_charpoly(spec), 1e-9, 2.0 + 1e-6)

@@ -9,7 +9,7 @@ import pytest
 
 from catspectra import bounds, charpoly, cli, oracle, verify
 from catspectra.charpoly import build_C
-from catspectra.model import validate_spec
+from catspectra.model import random_specs, validate_spec
 
 
 def _count_stacks(monkeypatch) -> list[tuple[str, list]]:
@@ -46,7 +46,7 @@ def test_batch_verify_solves_each_c_family_in_one_stacked_call(monkeypatch, caps
                      "--seed", "7"]) == 0
     assert "all invariants passed on 400 spec(s)" in capsys.readouterr().out
     families = [tuple(m.tobytes() for m in mats) for caller, mats in calls if caller == "_c_eigs"]
-    specs = set(verify.random_specs(400, 8, 6, 7))
+    specs = set(random_specs(400, 8, 6, 7))
     assert len(families) == len(specs)
     for spec in specs:
         c = build_C(spec).to_dense()
