@@ -8,7 +8,7 @@ Four kinds of oracle live here:
   matrix), cyclic Jacobi in the round-robin ordering of Brent and Luk
   (1985), each round of disjoint rotations applied at once (Luk and Park
   1989 show the ordering equivalent to the row-cyclic one), the
-  cross-check of the count and of the spectrum.  A list of matrices is
+  cross-check of the count and of C's eigenvalues.  A list of matrices is
   solved as one stack: each is zero-padded to the largest order, all share
   every round, and each stops on its own tolerance.  A round is a fixed
   handful of numpy calls on preallocated arrays, whatever the stack holds:
@@ -17,8 +17,10 @@ Four kinds of oracle live here:
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
-  `lap_charpoly_eval` evaluates det(tI - L) of a tree exactly by leaf
-  elimination, division-free, at a whole list of points in one traversal;
+  leaf elimination on a tree, division-free, at a whole list of points in
+  one traversal, gives both det(tI - L) (`lap_charpoly_eval`) and, from
+  the signs of its pivots, the exact number of eigenvalues of L above a
+  rational point (`lap_count_above`);
 * root counting (`sturm_count`): distinct roots of an integer polynomial in
   an interval, by one Sturm chain; `min_root` bisects it to adjacent doubles.
 
@@ -29,6 +31,7 @@ imported by `sym_eigs_stack` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable
@@ -323,19 +326,25 @@ def exact_det(m, t: int = 0) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def lap_charpoly_eval(g: Graph, ts) -> list[int]:
-    """Exact det(tI - L(g)) of a tree at each integer t of ts, by division-free leaf elimination.
+def _leaf_elimination(g: Graph, xs) -> tuple[list[int], list[int | None]]:
+    """det(d(xI - L(g))) and its negative pivots at each rational x = m/d of xs.
 
-    Rooted at vertex 1: a_v = (t - d_v) prod_c a_c - sum_c b_c prod_{c' != c} a_{c'},
-    b_v = prod_c a_c over children c; the determinant telescopes to a_root.
+    By leaf elimination rooted at vertex 1, division-free: a_v = (m - d deg_v)
+    prod_c a_c - d^2 sum_c b_c prod_{c' != c} a_{c'} and b_v = prod_c a_c
+    over children c.  So a_v is the determinant of d(xI - L) on v's subtree,
+    a_v / b_v is the pivot that elimination from the leaves leaves at v, and
+    the determinant telescopes to a_root.  By Sylvester's law of inertia the
+    pivots with a_v and b_v of opposite signs count the eigenvalues of L
+    above x (Jacobs and Trevisan, Linear Algebra Appl. 434, 2011).  Where a
+    pivot vanishes the count is None; the determinant stays exact.
     The sum is kept as a running pair over the children, so each vertex costs
     O(children) products per point.  One traversal serves every point: each
-    vertex holds its a and b as lists over ts.
+    vertex holds its a and b as lists over xs.
     """
-    ts = list(ts)
+    points = [Fraction(x).as_integer_ratio() for x in xs]
     n = g.n
     if n == 0:
-        return [1] * len(ts)
+        return [1] * len(points), [0] * len(points)
     adj: dict[int, list[int]] = {u: [] for u in range(1, n + 1)}
     for u, w in g.edges:
         adj[u].append(w)
@@ -350,7 +359,9 @@ def lap_charpoly_eval(g: Graph, ts) -> list[int]:
                 order.append(w)
     if len(order) != n:
         raise ValueError("graph is not a connected tree")
-    ones = [1] * len(ts)
+    squares = [d * d for _, d in points]
+    ones = [1] * len(points)
+    counts: list[int | None] = [0] * len(points)
     av = {}
     bv = {}
     for u in reversed(order):
@@ -364,13 +375,34 @@ def lap_charpoly_eval(g: Graph, ts) -> list[int]:
             else:
                 rest = [r * x + y * p for r, x, y, p in zip(rest, aw, bw, prod)]
                 prod = [p * x for p, x in zip(prod, aw)]
-        d = len(adj[u])
+        deg = len(adj[u])
         if rest is None:
-            av[u] = [t - d for t in ts]
+            a = [m - deg * d for m, d in points]
         else:
-            av[u] = [(t - d) * p - r for t, p, r in zip(ts, prod, rest)]
-        bv[u] = prod
-    return av[1]
+            a = [(m - deg * d) * p - dd * r
+                 for (m, d), p, r, dd in zip(points, prod, rest, squares)]
+        counts = [None if c is None or x == 0 else c + ((x < 0) != (p < 0))
+                  for c, x, p in zip(counts, a, prod)]
+        av[u], bv[u] = a, prod
+    return av[1], counts
+
+
+def lap_charpoly_eval(g: Graph, ts) -> list[int]:
+    """Exact det(tI - L(g)) of a tree at each integer t of ts, in one leaf-elimination walk."""
+    return _leaf_elimination(g, ts)[0]
+
+
+def lap_count_above(g: Graph, xs) -> list[int]:
+    """The number of eigenvalues of L(g) above each rational x of xs, exactly, in one walk.
+
+    Raises ValueError where a pivot vanishes, as it can only at an integer x:
+    each a_v is d^(size of v's subtree) times a monic integer polynomial at x.
+    """
+    xs = list(xs)
+    counts = _leaf_elimination(g, xs)[1]
+    if None in counts:
+        raise ValueError(f"a leaf-elimination pivot vanishes at x = {xs[counts.index(None)]}")
+    return counts
 
 
 # ---------------------------------------------------------------------------

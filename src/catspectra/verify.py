@@ -2,26 +2,30 @@
 
 Each check in INVARIANT_CHECKS returns None or a one-line failure message
 from comparing a production route with an independent oracle.  The layers
-are called as module attributes (`oracle.sym_eigs`), so a wrapper installed
-on a module's attribute, such as perfbench's span tracer, sees these calls.
+are called as module attributes (`oracle.sym_eigs_stack`), so a wrapper
+installed on a module's attribute, such as perfbench's span tracer, sees
+these calls.
 
-Every dense matrix the checks solve is an index view of the one dense C of
+Every dense matrix the checks solve is cut from the one dense C of
 `charpoly.build_C`: C(i) is C without the row and column of slot 2i - 1
 (0-based), and the pair block of (q_j, q_{j+1}) is C's 3 x 3 block at slot
 2j - 2.  So the deleted traces and the interlacing run on the literal row
 deletion, not on the direct sum that `bounds.trace_inv_deleted` builds.
 
-The dense solves come in stacks (`oracle.sym_eigs_stack`), which share each
-Jacobi round among their members: per spec, C with all its deletions C(i)
-in one call, solved once per run and shared by the checks (`_c_eigs`;
-`cli.run_verify` empties that cache when a run ends), and the k - 1
-leg-pair blocks of the Cardano check in another.  The tree Laplacian is a
-single solve, since padding the small matrices to its order would cost
-more than the rounds it saves.
+The dense solves come in one stack per spec (`oracle.sym_eigs_stack`),
+whose members share each Jacobi round: C, all its deletions C(i) and the
+k - 1 leg-pair blocks of the Cardano check, packed into two block-diagonal
+members, solved once per run and shared by the checks (`_c_eigs`;
+`cli.run_verify` empties that cache when a run ends).  No check builds a
+dense matrix of the tree: the spectrum is certified by the tree's exact
+eigenvalue count (`oracle.lap_count_above`), and each polynomial is
+compared with its oracle at one point beyond every root of their
+difference, which equals coefficient equality.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import inf, nextafter
 
@@ -33,22 +37,35 @@ from .model import CaterpillarSpec
 
 @lru_cache(maxsize=None)
 def _c_eigs(spec: CaterpillarSpec) -> tuple[np.ndarray, ...]:
-    """Descending dense eigenvalues of C and of each C(i), i = 1..k-1, in that order.
+    """Descending dense eigenvalues of C, of each C(i), i = 1..k-1, and of each pair block.
 
-    C(i) is the dense C with the row and column of slot 2i - 1 deleted.  One
-    stacked solve per spec, read-only and shared by the checks.  The cache
-    holds a whole run, so a batch run solves each family once whatever the
-    check order; `cli.run_verify` empties it when the run ends.  It keeps
-    eigenvalues only, 2k^2 - 2k + 1 doubles over k arrays: at k = 8 that is
-    904 bytes of values, about 2.8 KB per spec with the array objects.
+    C(i) is the dense C with the row and column of slot 2i - 1 deleted, and
+    the pair block of (q_j, q_{j+1}) is C's 3 x 3 block at slot 2j - 2.  The
+    blocks of odd j never share a slot, nor do those of even j, so each
+    parity is one block-diagonal member of order 2k - 1: padding k - 1 small
+    blocks to that order would double the stack.  Entries between blocks
+    are exact zeros that no rotation touches, so every eigenvector stays
+    inside its block and names it.  One stacked solve per spec, read-only
+    and shared by the checks.  The cache holds a whole run, so a batch run
+    solves each family once whatever the check order; `cli.run_verify`
+    empties it when the run ends.  It keeps eigenvalues only, 2k^2 + k - 2
+    doubles over 2k - 1 arrays: at k = 8 that is 1072 bytes of values,
+    about 4.9 KB per spec with the array objects.
     """
     c = charpoly.build_C(spec).to_dense()
-    family = [c] + [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)]
-    out = []
-    for res in oracle.sym_eigs_stack(family):
-        vals = res.values[::-1]
+    starts = range(0, 2 * spec.k - 2, 2)
+    packed = [np.zeros_like(c), np.zeros_like(c)]
+    for j, s in enumerate(starts):
+        packed[j % 2][s:s + 3, s:s + 3] = c[s:s + 3, s:s + 3]
+    deleted = [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)]
+    solved = oracle.sym_eigs_stack([c] + deleted + packed[:len(starts)])
+    out = [res.values[::-1] for res in solved[:spec.k]]
+    for j, s in enumerate(starts):
+        res = solved[spec.k + j % 2]
+        owner = np.argmax(np.abs(res.vectors), axis=0)
+        out.append(res.values[(s <= owner) & (owner < s + 3)][::-1])
+    for vals in out:
         vals.flags.writeable = False
-        out.append(vals)
     return tuple(out)
 
 
@@ -57,12 +74,25 @@ def _dense_trace_inv(spec: CaterpillarSpec, i: int) -> float:
     return float(np.sum(1.0 / (_c_eigs(spec)[i] + 2.0)))
 
 
+def _kronecker_exponent(poly, order: int, row_sum: int) -> int:
+    """m with 2^m > 1 + H + (1 + R)^N: where poly and an oracle's polynomial agree only if equal.
+
+    H is the largest |coefficient| of poly.  The oracle's order-N matrix has
+    absolute row sums at most R, so its eigenvalues lie in |z| <= R and its
+    characteristic polynomial's coefficients are at most (1 + R)^N in size.
+    The difference of the two polynomials has coefficients at most
+    H + (1 + R)^N, so by Cauchy's bound each of its roots has |z| below
+    1 + H + (1 + R)^N < 2^m, unless it is zero.
+    """
+    return (1 + max(map(abs, poly.coeffs)) + (1 + row_sum) ** order).bit_length()
+
+
 def _ck_charpoly_vs_det(spec, tol):
     poly = charpoly.charpoly_p(spec)
     b = oracle.deradicalize(charpoly.build_C(spec))
-    for t in range(-3, -3 + 2 * spec.k):
-        if oracle.exact_det(b, t) != poly(t):
-            return f"charpoly_p disagrees with integer determinant at t={t}"
+    m = _kronecker_exponent(poly, len(b), max(sum(map(abs, row)) for row in b))
+    if oracle.exact_det(b, 2 ** m) != poly(2 ** m):
+        return f"charpoly_p disagrees with the integer determinant at t=2^{m}"
     return None
 
 
@@ -82,23 +112,46 @@ def _ck_scalar_vs_poly(spec, tol):
 
 def _ck_laplacian_charpoly(spec, tol):
     poly = charpoly.laplacian_charpoly(spec)
-    ts = range(0, spec.n + 1)
-    for t, det in zip(ts, oracle.lap_charpoly_eval(graphs.build_caterpillar(spec), ts)):
-        if det != poly(t):
-            return f"laplacian_charpoly disagrees with the tree determinant at t={t}"
+    # L's absolute row sums are twice the degrees, at most q_i + 2
+    m = _kronecker_exponent(poly, spec.n, 2 * (max(spec.q) + 2))
+    [det] = oracle.lap_charpoly_eval(graphs.build_caterpillar(spec), [2 ** m])
+    if det != poly(2 ** m):
+        return f"laplacian_charpoly disagrees with the tree determinant at t=2^{m}"
     return None
 
 
-def _ck_spectrum_shift(spec, tol):
+def _ck_spectrum_tree_count(spec, tol):
+    """Each reported value is the double nearest its eigenvalues, with their exact multiplicity.
+
+    The tree's exact count above the halfway points to each value's
+    neighbouring doubles must equal n less the multiplicities the report
+    puts at or below them.  L is singular and positive semidefinite, so the
+    count at the halfway point below the second value also certifies (0.0, 1).
+    """
     pairs = charpoly.laplacian_spectrum(spec)
-    vals = np.sort(np.concatenate([[v] * m for v, m in pairs]))
-    dense = oracle.sym_eigs(graphs.matrices(graphs.build_caterpillar(spec))["L"]).values
-    if len(vals) != len(dense) or not np.allclose(vals, dense, rtol=0.0, atol=tol):
-        return "assembled Laplacian spectrum disagrees with the dense eigensolve"
-    if spec.k >= 2:     # mu from the exact count against Jacobi
-        mu = oracle.mu_oracle(spec)
-        if abs(mu - dense[1]) > tol:
-            return f"mu_oracle {mu:.10g} vs dense {dense[1]:.10g}"
+    vals, mults = [v for v, _ in pairs], [m for _, m in pairs]
+    if pairs[0] != (0.0, 1) or sum(mults) != spec.n or min(mults) < 1:
+        return "the spectrum does not start at (0.0, 1) or its multiplicities do not make n"
+    if not all(a < b for a, b in zip(vals, vals[1:])) or not vals[-1] < inf:
+        return "the spectrum's values are not finite and strictly ascending"
+    points, expected, upto = [], [], 1
+    for v, m in pairs[1:]:
+        points += [(Fraction(nextafter(v, -inf)) + Fraction(v)) / 2,
+                   (Fraction(v) + Fraction(nextafter(v, inf))) / 2]
+        expected += [spec.n - upto, spec.n - upto - m]
+        upto += m
+    counts = oracle.lap_count_above(graphs.build_caterpillar(spec), points)
+    for j, (got, want) in enumerate(zip(counts, expected)):
+        if got != want:
+            side = "above" if j % 2 else "below"
+            return (f"the tree has {got} eigenvalues past the halfway point {side} "
+                    f"{vals[1 + j // 2]!r}, the spectrum puts {want} there")
+    if spec.k >= 2:     # mu is the second value, and C's smallest eigenvalue + 2 by Jacobi
+        mu, dense = oracle.mu_oracle(spec), float(_c_eigs(spec)[0][-1]) + 2.0
+        if mu != vals[1]:
+            return f"mu_oracle {mu!r} is not the spectrum's second value {vals[1]!r}"
+        if abs(mu - dense) > tol:
+            return f"mu_oracle {mu:.10g} vs dense {dense:.10g}"
     return None
 
 
@@ -118,7 +171,7 @@ def _ck_trace_deleted(spec, tol):
 
 
 def _ck_interlacing(spec, tol):
-    full, *deleted = _c_eigs(spec)
+    full, *deleted = _c_eigs(spec)[:spec.k]
     for i, sub in enumerate(deleted, 1):
         for m in range(len(sub)):
             if not (full[m + 1] - tol <= sub[m] <= full[m] + tol):
@@ -127,11 +180,9 @@ def _ck_interlacing(spec, tol):
 
 
 def _ck_cardano_pairs(spec, tol):
-    c = charpoly.build_C(spec).to_dense()
-    solved = oracle.sym_eigs_stack([c[s:s + 3, s:s + 3] for s in range(0, 2 * spec.k - 2, 2)])
-    for q1, q2, res in zip(spec.q, spec.q[1:], solved):
-        got = sorted(bounds.cardano_roots(q1, q2).zetas)
-        if not np.allclose(got, res.values, rtol=0.0, atol=max(tol, 1e-9)):
+    for q1, q2, vals in zip(spec.q, spec.q[1:], _c_eigs(spec)[spec.k:]):
+        got = sorted(bounds.cardano_roots(q1, q2).zetas, reverse=True)
+        if not np.allclose(got, vals, rtol=0.0, atol=max(tol, 1e-9)):
             return f"cardano_roots({q1},{q2}) disagrees with the dense eigensolve"
     return None
 
@@ -183,7 +234,7 @@ INVARIANT_CHECKS = [
     ("charpoly_vs_integer_det", 1, _ck_charpoly_vs_det),
     ("scalar_vs_polynomial_at_-2", 1, _ck_scalar_vs_poly),
     ("laplacian_charpoly_vs_tree_det", 1, _ck_laplacian_charpoly),
-    ("spectrum_shift_vs_dense", 1, _ck_spectrum_shift),
+    ("spectrum_vs_tree_count", 1, _ck_spectrum_tree_count),
     ("trace_inverse_identity", 1, _ck_trace_identity),
     ("deleted_trace_identity", 2, _ck_trace_deleted),
     ("eigenvalue_interlacing", 2, _ck_interlacing),

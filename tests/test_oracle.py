@@ -454,6 +454,45 @@ def test_lap_charpoly_eval_rejects_forests():
         lap_charpoly_eval(Graph(n=2, edges=()), [1])
 
 
+def _dyadic_points(data, g):
+    """Non-integer dyadic points at least 1e-6 from every eigenvalue of L(g), and those values."""
+    ev = np.linalg.eigvalsh(matrices(g)["L"])
+    xs = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        e = data.draw(st.integers(min_value=0, max_value=60))
+        m = data.draw(st.integers(min_value=-(2 ** e), max_value=int((ev[-1] + 1) * 2 ** e)))
+        x = Fraction(2 * m + 1, 2 ** (e + 1))
+        if np.abs(ev - float(x)).min() >= 1e-6:
+            xs.append(x)
+    return xs, ev
+
+
+def _assert_counts_match_eigvalsh(g, data):
+    xs, ev = _dyadic_points(data, g)
+    assert oracle.lap_count_above(g, xs) == [int(np.count_nonzero(ev > float(x))) for x in xs]
+
+
+@settings(max_examples=150)
+@given(specs(max_k=10, max_q=12), st.data())
+def test_lap_count_above_matches_eigvalsh_on_caterpillars(spec, data):
+    _assert_counts_match_eigvalsh(build_caterpillar(spec), data)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=30), st.data())
+def test_lap_count_above_matches_eigvalsh_on_random_trees(n, data):
+    parents = [data.draw(st.integers(min_value=1, max_value=v - 1)) for v in range(2, n + 1)]
+    g = Graph(n=n, edges=tuple(sorted(zip(parents, range(2, n + 1)))))
+    _assert_counts_match_eigvalsh(g, data)
+
+
+def test_lap_count_above_refuses_a_vanishing_pivot():
+    star = build_caterpillar(validate_spec((3,)))        # eigenvalues 0, 1, 1, 4
+    assert oracle.lap_count_above(star, [Fraction(1, 2), Fraction(3, 2), 5]) == [3, 1, 0]
+    with pytest.raises(ValueError):
+        oracle.lap_count_above(star, [Fraction(1, 2), 1])
+
+
 # -- root isolation -----------------------------------------------------------
 
 def test_min_root_sqrt2():
