@@ -5,7 +5,7 @@ legs at spine vertex i.  The package computes Laplacian / signless-Laplacian
 spectra and characteristic polynomials exactly through the line-graph
 quotient matrix C(q_1, ..., q_k), certified lower and upper bounds on the
 algebraic connectivity, and cross-checks everything against brute-force
-oracles (dense Jacobi eigensolver, fraction-free integer determinants).
+oracles (LAPACK's dense eigensolver, fraction-free integer determinants).
 
 The names below are the public API.  The oracles, the structural form of C
 and the graph builders stay importable from `oracle`, `charpoly` and

@@ -310,10 +310,11 @@ def cmd_verify(args) -> int:
     else:
         print("verify needs --q or --random N", file=sys.stderr)
         return EXIT_USAGE
-    for spec in specs:      # refused up front: the dense checks would stop the run midway
+    for spec in specs:      # refused up front: line_graph's cap would stop the run midway
         if spec.n > MAX_DENSE_ORDER:
-            print(f"verify T{q_label(spec.q)}: the tree has {spec.n} vertices, above the dense cap "
-                  f"of {MAX_DENSE_ORDER}", file=sys.stderr)
+            print(f"verify T{q_label(spec.q)}: the tree has {spec.n} vertices, above verify's cap "
+                  f"of {MAX_DENSE_ORDER} for the H-join check's line graph (complete on a star) "
+                  f"and the exact checks on the tree", file=sys.stderr)
             return EXIT_USAGE
     failures, notes = run_verify(specs, args.tol)
     for line in notes + failures:

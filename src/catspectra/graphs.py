@@ -21,8 +21,10 @@ from .model import CaterpillarSpec, OrderTooLarge
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest order of a dense matrix built here or solved by `oracle.sym_eigs`: the
-# cap on verify's dense checks, whose cyclic Jacobi sweeps cost O(n^3) each.
+# Largest order of a dense matrix built here or solved by `oracle.sym_eigs_stack`,
+# and of a line graph built here (a star's is complete).  verify refuses larger
+# trees up front: its H-join check builds the line graph, and its exact checks
+# on the tree (leaf elimination, the eigenvalue counts) grow with n.
 MAX_DENSE_ORDER = 256
 
 

@@ -4,16 +4,9 @@ Four kinds of oracle live here:
 
 * `mu_oracle`, the algebraic connectivity, bisected with the exact
   eigenvalue count on the tree (`model.laplacian_count`);
-* a dense symmetric eigensolver (`sym_eigs_stack`, and `sym_eigs` for one
-  matrix), cyclic Jacobi in the round-robin ordering of Brent and Luk
-  (1985), each round of disjoint rotations applied at once (Luk and Park
-  1989 show the ordering equivalent to the row-cyclic one), the
-  cross-check of the count and of C's eigenvalues.  A list of matrices is
-  solved as one stack: each is zero-padded to the largest order, all share
-  every round, and each stops on its own tolerance.  A round is a fixed
-  handful of numpy calls on preallocated arrays, whatever the stack holds:
-  the eigenvectors ride beside the matrix, so one batched product turns
-  the rows of both;
+* a dense symmetric eigensolver (`sym_eigs_stack` for a list of matrices,
+  `sym_eigs` for one), LAPACK's through `numpy.linalg.eigh`, the
+  cross-check of C's eigenvalues and of mu;
 * exact integer linear algebra: `deradicalize` turns the sqrt(q_i) entries of
   the quotient matrix into an integer matrix with the same characteristic
   polynomial, `exact_det` is fraction-free (Bareiss) elimination, and
@@ -24,8 +17,8 @@ Four kinds of oracle live here:
 * root counting (`sturm_count`): distinct roots of an integer polynomial in
   an interval, by one Sturm chain; `min_root` bisects it to adjacent doubles.
 
-None of this uses the recurrences under test; numpy is array plumbing only,
-imported by `sym_eigs_stack` alone.
+None of this uses the recurrences under test; numpy is imported by the
+dense eigensolver alone.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ MU_CACHE_SIZE = 256
 
 
 class NonConvergence(RuntimeError):
-    """Jacobi sweep cap hit before the off-diagonal norm dropped below tolerance."""
+    """LAPACK's symmetric eigensolver did not converge."""
 
 
 class NoRootFound(RuntimeError):
@@ -60,47 +53,6 @@ class NoRootFound(RuntimeError):
 class EigenResult:
     values: np.ndarray      # ascending
     vectors: np.ndarray     # orthonormal columns, vectors[:, i] pairs with values[i]
-    sweeps: int
-    residual: float         # max_i ||M v_i - lambda_i v_i||_inf
-
-
-def _round_robin(n: int) -> np.ndarray:
-    """The round-robin schedule of one Jacobi sweep on order n, as one permutation.
-
-    Pivot pairs are listed flat, (p_0, q_0, p_1, q_1, ...), over m = n + n % 2
-    indices; odd n gets a phantom index n, whose partner sits the round out.
-    Round 0 pairs (0, 1), (2, 3), ...; round r + 1 lists round r's flat
-    order taken through the returned permutation, `order[move]`.  That is the
-    circle method: seat 0 stays put, everyone else moves on one seat, seat j
-    plays seat m - 1 - j.  After m - 1 rounds, one sweep, every pair has met
-    once and the order is round 0's again.
-    """
-    import numpy as np
-
-    m = n + n % 2
-    seats = np.concatenate((np.arange(0, m, 2), np.arange(m - 1, 0, -2)))  # j, m-1-j: 2j, 2j+1
-    turned = np.concatenate((seats[:1], seats[-1:], seats[1:-1]))
-    return np.stack((turned[:m // 2], turned[::-1][:m // 2]), axis=1).reshape(-1)
-
-
-def _jacobi_cs(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray,
-               hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines and sines of the inner rotations (|theta| <= pi/4) that zero a[p, q].
-
-    Elementwise over arrays of any one shape.  Pairs outside `hit` get the
-    identity, c = 1 and s = 0 exactly.  tau * tau cannot overflow from
-    `sym_eigs_stack`: a pair is rotated only when |a[p, q]| > 1e-12 ||M||_F /
-    (2n), and |a[q, q] - a[p, p]| <= sqrt(2) ||M||_F, so |tau| <= sqrt(2) n
-    1e12, below 3.7e14 for n <= MAX_DENSE_ORDER = 256.
-    """
-    import numpy as np
-
-    # tau = inf outside `hit` gives t = 1 / inf = 0 there, with no masked division
-    tau = np.divide(aqq - app, 2.0 * apq, out=np.full(apq.shape, np.inf), where=hit)
-    at = np.abs(tau)
-    t = np.copysign(1.0 / (at + np.sqrt(1.0 + at * at)), tau)
-    c = 1.0 / np.hypot(1.0, t)
-    return c, t * c
 
 
 def _checked(m) -> np.ndarray:
@@ -120,135 +72,32 @@ def _checked(m) -> np.ndarray:
     return m
 
 
-def sym_eigs_stack(mats, max_sweeps: int = 100) -> list[EigenResult]:
-    """Eigenvalues and eigenvectors of each symmetric matrix in a list, by cyclic Jacobi.
+def sym_eigs_stack(mats) -> list[EigenResult]:
+    """Eigenvalues and eigenvectors of each symmetric matrix in a list, by LAPACK.
 
-    The pivot pairs follow the round-robin ordering of Brent and Luk (SIAM J.
-    Sci. Stat. Comput. 6, 1985): a sweep is n - 1 rounds (n for odd n) of
-    disjoint pairs, each pair of indices met once.  Rotations on disjoint
-    pairs commute and none changes an entry another one reads, so a round is
-    one orthogonal J applied at once, a <- J^T a J and v <- v J; the
-    annihilated a[p, q] are then set to exactly 0.  The matrix is kept in the
-    current round's pair order, so J is block diagonal with 2 x 2 blocks.
-    v^T is kept beside a, as the rows of one array [a | v^T]: one batched
-    product turns the rows of both, X = J^T a and J^T v^T; one gather takes
-    X^T = a J with its columns already in the next round's order, a second
-    product turns its rows into J^T a J, and a row gather then brings the
-    rows of [a | v^T] to the next order.  A round that rotates nothing moves
-    both with one flat gather.
-    Luk and Park (SIAM J. Sci. Stat. Comput. 10, 1989) show this ordering
-    equivalent to the row-cyclic one, so with inner rotations (|theta| <=
-    pi/4) it converges.
-
-    The whole list shares the rounds: each matrix is zero-padded to the
-    largest order (made even) and the 2 x 2 blocks of every member form one
-    batch of products, so a round costs a fixed number of numpy calls however
-    many matrices it carries.  A padding row couples to nothing, so it is
-    never rotated, and after a full sweep it is back in place, as the odd
-    order's phantom row is.  Each member keeps its own tol = 1e-12 ||M||_F,
-    its own threshold (pairs with |a[p, q]| <= tol / (2n) are not rotated)
-    and its own sweep count: the off-diagonal Frobenius norm is checked
-    before each sweep, and a member whose norm is below its tol is frozen,
-    rotated no more.  A member still above its tol after max_sweeps sweeps
-    raises NonConvergence.  Every member is validated before any work:
-    non-square, asymmetric or non-finite ones raise ValueError, orders above
-    MAX_DENSE_ORDER raise OrderTooLarge (a sweep costs O(n^3), so the solve
-    would run for minutes to hours).
+    Every member is validated before any solve: non-square, asymmetric or
+    non-finite ones raise ValueError, orders above MAX_DENSE_ORDER raise
+    OrderTooLarge.  Each member, its two triangles averaged, then goes to
+    `numpy.linalg.eigh` on its own; a LAPACK failure to converge is raised
+    as NonConvergence.
     """
     import numpy as np
 
     mats = [_checked(m) for m in mats]
-    orders = [len(m) for m in mats]
-    out = [EigenResult(np.zeros(0), np.zeros((0, 0)), 0, 0.0) for _ in mats]
-    live = [b for b, n in enumerate(orders) if n]      # the members of order 0 are done
-    if not live:
-        return out
-
-    nb = len(live)
-    move = _round_robin(max(orders))
-    size = len(move)            # the largest order, made even; members below it are zero-padded
-    half, width = size // 2, 2 * size
-    stride = 2 * width + 2      # flat step from pair (p, q) to the next in a row of [a | v^T]
-    place = np.argsort(move)    # the next round's place of each index
-    # [a | v^T][move][:, move + (v^T's columns in place)], as one flat gather
-    both = (move[:, None] * width + np.concatenate((move, np.arange(size, width)))).reshape(-1)
-    # X^T with its columns moved, X^T[:, move], from X in the rows of [X | v^T]
-    turned = (move * width + np.arange(size)[:, None]).reshape(-1)
-    # the places of (p, q) and (q, p) of each pair of each member, once the columns are moved
-    ties = (np.arange(nb)[:, None, None] * size * width
-            + np.stack((np.arange(0, size, 2) * width + place[1::2],
-                        np.arange(1, size, 2) * width + place[0::2]), axis=1))
-    blocks = np.empty((nb, half, 4))
-    g = blocks.reshape(nb * half, 2, 2)     # the 2 x 2 diagonal blocks of each J^T, one per pair
-    cosines, sines, signs = blocks[..., ::3], blocks[..., 1:3], np.array([-1.0, 1.0])
-    # [a | v^T], v^T's row i pairing with a[i, i]; a round leaves its result in `av` and uses
-    # `spare` and `a_t` as work space.  Every view below is made once.
-    av, spare = np.zeros((nb, size, width)), np.empty((nb, size, width))
-    a_t = np.empty((nb, size, size))
-    for j, b in enumerate(live):
-        n = orders[b]
-        av[j, :n, :n] = (mats[b] + mats[b].T) / 2.0
-    av[:, :, size:] = np.eye(size)
-    flat, flat_spare, a_t_flat = av.reshape(nb, -1), spare.reshape(nb, -1), a_t.reshape(nb, -1)
-    spare_all = spare.reshape(-1)
-    app, aqq, apq = flat[:, 0::stride], flat[:, width + 1::stride], flat[:, 1::stride]
-    rows, rows_spare = av.reshape(nb * half, 2, width), spare.reshape(nb * half, 2, width)
-    a_rows_spare, a_t_rows = rows_spare[:, :, :size], a_t.reshape(nb * half, 2, size)
-    tol = 1e-12 * np.maximum(np.linalg.norm(av[:, :, :size].reshape(nb, -1), axis=1), 1e-300)
-    # rotations below a member's skip cannot keep its norm above its tol
-    skip = tol / (2.0 * np.array([orders[b] for b in live]))
-    skip_col = skip[:, None]
-    sweeps = np.zeros(nb, dtype=int)
-    off = np.empty((nb, size, size))
-    off_flat = off.reshape(nb, -1)
-    while True:
-        np.copyto(off, av[:, :, :size])
-        off_flat[:, ::size + 1] = 0.0   # entrywise, not ||A||^2 - ||diag||^2, which cancels
-        norms = np.sqrt(np.add.reduce(off_flat * off_flat, axis=1))     # np.linalg.norm's sum
-        active = norms > tol
-        if not np.count_nonzero(active):
-            break
-        late = active & (sweeps >= max_sweeps)
-        if late.any():
-            j = int(np.argmax(late))
-            where = f" in matrix {live[j]} of the stack" if len(mats) > 1 else ""
-            raise NonConvergence(f"off-diagonal norm {norms[j]:.3e} after {sweeps[j]} sweeps "
-                                 f"(tol {tol[j]:.3e}){where}")
-        skip[~active] = np.inf          # frozen: no pair of a converged member is rotated again
-        for _ in range(size - 1):
-            hit = np.abs(apq) > skip_col
-            if np.count_nonzero(hit):
-                c, s = _jacobi_cs(app, aqq, apq, hit)
-                cosines[...] = c[..., None]                     # [[c, -s], [s, c]]
-                np.multiply(s[..., None], signs, out=sines)
-                np.matmul(g, rows, out=rows_spare)              # [X | J^T v^T], X = J^T a
-                # J^T a J = J^T X^T, a being symmetric, made with its columns moved
-                flat_spare.take(turned, axis=1, out=a_t_flat, mode="clip")
-                np.matmul(g, a_t_rows, out=a_rows_spare)
-                spare_all[ties[hit]] = 0.0
-                spare.take(move, axis=1, out=av, mode="clip")   # and then its rows
-            else:
-                flat.take(both, axis=1, out=flat_spare, mode="clip")    # "raise" would buffer
-                np.copyto(av, spare)
-        sweeps += active
-
-    # a full sweep brings the order back to round 0's, the identity; drop the padding
-    for j, b in enumerate(live):
-        m, n = mats[b], orders[b]
-        vals = av[j].diagonal()[:n]
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], av[j, :n, size:size + n].T[:, order]
-        residual = float(np.abs(m @ vecs - vecs * vals).max())
-        out[b] = EigenResult(vals, vecs, int(sweeps[j]), residual)
+    out = []
+    for b, m in enumerate(mats):
+        try:
+            values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            where = f" in matrix {b} of the stack" if len(mats) > 1 else ""
+            raise NonConvergence(f"LAPACK's symmetric eigensolver: {exc}{where}") from exc
+        out.append(EigenResult(values, vectors))
     return out
 
 
-def sym_eigs(m: np.ndarray, max_sweeps: int = 100) -> EigenResult:
-    """All eigenvalues and eigenvectors of one symmetric matrix: a stack of one.
-
-    See `sym_eigs_stack` for the method, the stopping rule and the errors.
-    """
-    return sym_eigs_stack([m], max_sweeps)[0]
+def sym_eigs(m: np.ndarray) -> EigenResult:
+    """All eigenvalues and eigenvectors of one symmetric matrix: a stack of one."""
+    return sym_eigs_stack([m])[0]
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)

@@ -12,15 +12,15 @@ Every dense matrix the checks solve is cut from the one dense C of
 2j - 2.  So the deleted traces and the interlacing run on the literal row
 deletion, not on the direct sum that `bounds.trace_inv_deleted` builds.
 
-The dense solves come in one stack per spec (`oracle.sym_eigs_stack`),
-whose members share each Jacobi round: C, all its deletions C(i) and the
-k - 1 leg-pair blocks of the Cardano check, packed into two block-diagonal
-members, solved once per run and shared by the checks (`_c_eigs`;
-`cli.run_verify` empties that cache when a run ends).  No check builds a
-dense matrix of the tree: the spectrum is certified by the tree's exact
-eigenvalue count (`oracle.lap_count_above`), and each polynomial is
-compared with its oracle at one point beyond every root of their
-difference, which equals coefficient equality.
+The dense solves, LAPACK's symmetric eigensolver, come in one stack per
+spec (`oracle.sym_eigs_stack`): C, all its deletions C(i) and the k - 1
+leg-pair blocks of the Cardano check, each its own member, solved once per
+run and shared by the checks (`_c_eigs`; `cli.run_verify` empties that
+cache when a run ends).  No check builds a dense matrix of the tree: the
+spectrum is certified by the tree's exact eigenvalue count
+(`oracle.lap_count_above`), and each polynomial is compared with its
+oracle at one point beyond every root of their difference, which equals
+coefficient equality.
 """
 
 from __future__ import annotations
@@ -40,33 +40,25 @@ def _c_eigs(spec: CaterpillarSpec) -> tuple[np.ndarray, ...]:
     """Descending dense eigenvalues of C, of each C(i), i = 1..k-1, and of each pair block.
 
     C(i) is the dense C with the row and column of slot 2i - 1 deleted, and
-    the pair block of (q_j, q_{j+1}) is C's 3 x 3 block at slot 2j - 2.  The
-    blocks of odd j never share a slot, nor do those of even j, so each
-    parity is one block-diagonal member of order 2k - 1: padding k - 1 small
-    blocks to that order would double the stack.  Entries between blocks
-    are exact zeros that no rotation touches, so every eigenvector stays
-    inside its block and names it.  One stacked solve per spec, read-only
-    and shared by the checks.  The cache holds a whole run, so a batch run
-    solves each family once whatever the check order; `cli.run_verify`
-    empties it when the run ends.  It keeps eigenvalues only, 2k^2 + k - 2
-    doubles over 2k - 1 arrays: at k = 8 that is 1072 bytes of values,
-    about 4.9 KB per spec with the array objects.
+    the pair block of (q_j, q_{j+1}) is C's 3 x 3 block at slot 2j - 2.
+    Each is its own member of one stacked solve per spec: packed side by
+    side into one matrix, blocks that share an eigenvalue would share its
+    eigenspace, and LAPACK keeps neither the zeros between them nor an
+    eigenvector inside one block (the blocks of (0, 5) and (5, 0) both have
+    5, 0 and -1).  Read-only and shared by the checks.  The cache holds a
+    whole run, so a batch run solves each family once whatever the check
+    order; `cli.run_verify` empties it when the run ends.  It keeps
+    eigenvalues only, 2k^2 + k - 2 doubles over 2k - 1 arrays: at k = 8
+    that is 1072 bytes of values, about 4.9 KB per spec with the array
+    objects.
     """
     c = charpoly.build_C(spec).to_dense()
-    starts = range(0, 2 * spec.k - 2, 2)
-    packed = [np.zeros_like(c), np.zeros_like(c)]
-    for j, s in enumerate(starts):
-        packed[j % 2][s:s + 3, s:s + 3] = c[s:s + 3, s:s + 3]
     deleted = [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)]
-    solved = oracle.sym_eigs_stack([c] + deleted + packed[:len(starts)])
-    out = [res.values[::-1] for res in solved[:spec.k]]
-    for j, s in enumerate(starts):
-        res = solved[spec.k + j % 2]
-        owner = np.argmax(np.abs(res.vectors), axis=0)
-        out.append(res.values[(s <= owner) & (owner < s + 3)][::-1])
+    blocks = [c[s:s + 3, s:s + 3] for s in range(0, 2 * spec.k - 2, 2)]
+    out = tuple(res.values[::-1] for res in oracle.sym_eigs_stack([c] + deleted + blocks))
     for vals in out:
         vals.flags.writeable = False
-    return tuple(out)
+    return out
 
 
 def _dense_trace_inv(spec: CaterpillarSpec, i: int) -> float:
@@ -146,7 +138,7 @@ def _ck_spectrum_tree_count(spec, tol):
             side = "above" if j % 2 else "below"
             return (f"the tree has {got} eigenvalues past the halfway point {side} "
                     f"{vals[1 + j // 2]!r}, the spectrum puts {want} there")
-    if spec.k >= 2:     # mu is the second value, and C's smallest eigenvalue + 2 by Jacobi
+    if spec.k >= 2:     # mu is the second value, and C's smallest eigenvalue + 2 by LAPACK
         mu, dense = oracle.mu_oracle(spec), float(_c_eigs(spec)[0][-1]) + 2.0
         if mu != vals[1]:
             return f"mu_oracle {mu!r} is not the spectrum's second value {vals[1]!r}"

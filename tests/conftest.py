@@ -71,7 +71,7 @@ def incidence(g):
 
 
 def sorted_eigs_of(mat):
-    """Reference eigenvalues via the in-repo Jacobi solver, ascending."""
+    """Reference eigenvalues via the oracle's dense solver (LAPACK), ascending."""
     from catspectra.oracle import sym_eigs
 
     return list(sym_eigs(np.asarray(mat, dtype=float)).values)

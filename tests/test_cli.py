@@ -361,7 +361,8 @@ def test_cmd_verify_refuses_trees_above_the_dense_cap_before_any_check(capsys, a
     assert cli.main(["verify"] + argv) == 1
     cap = capsys.readouterr()
     assert cap.out == ""                # no check ran
-    assert cap.err.startswith("verify T(") and "above the dense cap of 256" in cap.err
+    assert cap.err.startswith("verify T(") and cap.err.count("\n") == 1
+    assert "above verify's cap of 256 for the H-join check's line graph" in cap.err
 
 
 def test_cmd_table_clean_rows(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the invariant suite in catspectra.verify: how often it calls the
-dense eigensolver, and checks that must fail when a production value is off."""
+dense eigensolver, what it does when that fails, and checks that must fail
+when a production value is off."""
 
 import re
 import sys
@@ -29,28 +30,28 @@ def _count_stacks(monkeypatch) -> list[tuple[str, list]]:
 
 
 def _family(spec):
-    """C, its deletions C(i) and its pair blocks packed by the parity of j, as in `_c_eigs`."""
+    """C, its deletions C(i) and its 3 x 3 pair blocks, each a member, as in `_c_eigs`."""
     c = build_C(spec).to_dense()
-    packed = [np.zeros_like(c) for _ in range(min(2, spec.k - 1))]
-    for j in range(spec.k - 1):
-        packed[j % 2][2 * j:2 * j + 3, 2 * j:2 * j + 3] = c[2 * j:2 * j + 3, 2 * j:2 * j + 3]
-    return [c] + [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)] + packed
+    return ([c] + [np.delete(np.delete(c, s, 0), s, 1) for s in range(1, 2 * spec.k - 2, 2)]
+            + [c[2 * j:2 * j + 3, 2 * j:2 * j + 3] for j in range(spec.k - 1)])
 
 
 def test_verify_solves_each_dense_matrix_once(monkeypatch, capsys):
     calls = _count_stacks(monkeypatch)
     assert cli.main(["verify", "--q", "4,9,1,2"]) == 0
-    # k = 4: C, its k - 1 deletions C(i), and its k - 1 leg-pair blocks in two block-diagonal
-    # members, all in one stack; no tree Laplacian
-    assert [(caller, len(mats)) for caller, mats in calls] == [("_c_eigs", 6)]
+    # k = 4: C, its k - 1 deletions C(i) and its k - 1 leg-pair blocks, 2k - 1 members of
+    # one stack; no tree Laplacian
+    assert [(caller, len(mats)) for caller, mats in calls] == [("_c_eigs", 7)]
     family = _family(validate_spec((4, 9, 1, 2)))
     assert [m.tobytes() for m in calls[0][1]] == [m.tobytes() for m in family]
     assert verify._c_eigs.cache_info().currsize == 0    # nothing kept past the run
     assert "all invariants passed" in capsys.readouterr().out
 
 
+# (0, 5, 5, 0, 0): the blocks of (0, 5) and (5, 0) share all three eigenvalues 5, 0 and -1, so
+# packed into one matrix they would share eigenspaces, and an eigenvector would name no block
 @pytest.mark.parametrize("q", [(4, 9, 1, 2), (0, 0), (3, 0, 0, 2, 0, 7), (1,) * 9, (0, 5, 5, 0, 0)])
-def test_packed_pair_blocks_give_each_block_its_own_eigenvalues(q):
+def test_each_pair_block_gets_its_own_eigenvalues(q):
     spec = validate_spec(q)
     c = build_C(spec).to_dense()
     got = verify._c_eigs(spec)
@@ -59,6 +60,18 @@ def test_packed_pair_blocks_give_each_block_its_own_eigenvalues(q):
     for j, vals in enumerate(got[spec.k:]):
         block = np.linalg.eigvalsh(c[2 * j:2 * j + 3, 2 * j:2 * j + 3])[::-1]
         assert np.allclose(vals, block, rtol=0.0, atol=1e-12), j
+
+
+def test_verify_exits_3_when_lapack_fails(monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    verify._c_eigs.cache_clear()
+    assert cli.main(["verify", "--q", "4,9,0,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical non-convergence: "), err
+    assert verify._c_eigs.cache_info().currsize == 0
 
 
 def test_verify_builds_no_dense_tree_matrix(monkeypatch, capsys):
