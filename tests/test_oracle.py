@@ -3,6 +3,7 @@ count on the tree and the mu it locates, exact integer linear algebra, the
 tree determinant and rational root isolation."""
 
 import time
+import warnings
 from fractions import Fraction
 from math import inf, nextafter
 from random import Random
@@ -144,8 +145,33 @@ def test_sym_eigs_matches_eigvalsh_on_random_symmetric_matrices(n, seed):
     assert np.abs(sym_eigs(m).values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def test_sym_eigs_tiny_coupling_warns_nothing():
+    # the exact eigenvalues are -1e-320 and 1 + 1e-320: no overflow, no underflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sym_eigs(np.array([[0.0, 1e-160], [1e-160, 1.0]]))
+    assert np.abs(res.values - [0.0, 1.0]).max() <= 1e-15
+    assert np.allclose(res.vectors.T @ res.vectors, np.eye(2), rtol=0.0, atol=1e-15)
+
+
 def _lapack_fails(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_sym_eigs_stack_names_the_member_lapack_failed_on(monkeypatch):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def fails_on_the_second(m):
+        if solved:
+            _lapack_fails()
+        solved.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_the_second)
+    with pytest.raises(NonConvergence, match="did not converge in matrix 1 of the stack$"):
+        oracle.sym_eigs_stack([np.diag([1.0, 2.0]), _tree_laplacian((4, 9, 0, 1)), np.eye(3)])
+    assert len(solved) == 1     # the stack stops at the failing member
 
 
 def test_sym_eigs_raises_nonconvergence_when_lapack_fails(monkeypatch):
